@@ -5,11 +5,17 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz bench-construction bench-routing bench-scan bench-serving bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check fmt build vet test race chaos fuzz bench-construction bench-routing bench-scan bench-serving bench-drift bench-rebalance obs-demo trace-demo
 
-# check is the full tier-1 gate: build, vet, tests, and the race detector
-# over every package that runs concurrent construction or routing code.
-check: build vet test race
+# check is the full tier-1 gate: formatting, build, vet, tests, and the race
+# detector over every package that runs concurrent construction or routing
+# code.
+check: fmt build vet test race
+
+# fmt fails when any Go file (the clusterbench module included) is not
+# gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

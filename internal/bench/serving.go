@@ -91,8 +91,8 @@ type ServingReport struct {
 	Workers    int      `json:"workers"`
 	Statements []string `json:"statements"`
 	// PointMillis is the closed-loop window per measured point.
-	PointMillis int64          `json:"point_ms"`
-	Points      []ServingPoint `json:"points"`
+	PointMillis int64            `json:"point_ms"`
+	Points      []ServingPoint   `json:"points"`
 	Summaries   []ServingSummary `json:"summaries"`
 	// MuxSpeedupSingleClient is binary/gob on SingleClientQPS — the
 	// multiplexing payoff on one connection. MuxSpeedupSaturation is the

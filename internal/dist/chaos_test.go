@@ -331,6 +331,38 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 	}
 }
 
+// TestChaosQueryTimeoutBlackhole: with no deadline on the caller's context,
+// the configured QueryTimeout — carried as a value, with no timer of its own —
+// still bounds a query against a black-holed worker: it fails with
+// context.DeadlineExceeded shortly after the timeout, counted as a deadline
+// expiry. One worker exercises the inline single-worker scatter, two (only
+// worker 0 black-holed) the concurrent one.
+func TestChaosQueryTimeoutBlackhole(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := fastChaosConfig(1)
+			cfg.QueryTimeout = 200 * time.Millisecond
+			tc := startChaosCluster(t, workers, 1, map[int]faultnet.Script{
+				0: {Seed: 1, Rules: []faultnet.Rule{
+					{Conn: -1, Op: faultnet.OnRead, Call: 0, Action: faultnet.Blackhole},
+				}},
+			}, cfg)
+			start := time.Now()
+			_, err := tc.master.Query(chaosSQL)
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("error = %v, want context.DeadlineExceeded", err)
+			}
+			if elapsed < cfg.QueryTimeout || elapsed > cfg.QueryTimeout+300*time.Millisecond {
+				t.Fatalf("query failed after %v, want just past the %v query timeout", elapsed, cfg.QueryTimeout)
+			}
+			if got := tc.reg.Snapshot().Counter(MetricDeadlineExpired); got != 1 {
+				t.Errorf("deadline expiries = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestChaosDeadlineExpiryNoLeak: a black-holed worker accepts requests and
 // never answers; the query deadline must expire cleanly, the error must be
 // context.DeadlineExceeded, and tearing the cluster down must return the

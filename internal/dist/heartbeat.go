@@ -91,7 +91,8 @@ func (h *Heartbeater) callMux(ctx context.Context, req MemberRequest) (MemberRes
 	}
 	h.mu.Unlock()
 	var resp MemberResponse
-	err := mx.Call(ctx, msgMemberReq, &req, func(typ byte, payload []byte) error {
+	deadline, _ := ctx.Deadline()
+	err := mx.Call(ctx, deadline, msgMemberReq, &req, func(typ byte, payload []byte) error {
 		if typ != msgMemberResp {
 			return fmt.Errorf("dist: unexpected frame type %d for member response", typ)
 		}

@@ -418,9 +418,9 @@ func (m *Master) InvalidateCaches() {
 	m.m.cacheInvalidations.Inc()
 }
 
-// workerLink returns (dialing lazily) the persistent link to worker i. The
-// dial respects ctx's deadline.
-func (m *Master) workerLink(ctx context.Context, i int) (workerLink, error) {
+// workerLink returns (dialing lazily) the persistent link to worker i. A
+// dial is bounded by deadline (zero: none) and cancelled by ctx.
+func (m *Master) workerLink(ctx context.Context, deadline time.Time, i int) (workerLink, error) {
 	m.mu.Lock()
 	if i < len(m.links) && m.links[i] != nil {
 		l := m.links[i]
@@ -435,16 +435,16 @@ func (m *Master) workerLink(ctx context.Context, i int) (workerLink, error) {
 	var l workerLink
 	switch m.cfg.Transport {
 	case TransportGob:
-		var d net.Dialer
+		d := net.Dialer{Deadline: deadline}
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
-			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, ctxErr(ctx, err))
+			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, expiredOr(ctx, deadline, err))
 		}
 		l = &gobLink{c: newConn(nc)}
 	default:
-		ml, err := dialMuxLink(ctx, addr, m.cfg.ConnsPerWorker)
+		ml, err := dialMuxLink(ctx, deadline, addr, m.cfg.ConnsPerWorker)
 		if err != nil {
-			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, ctxErr(ctx, err))
+			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, expiredOr(ctx, deadline, err))
 		}
 		l = ml
 	}
@@ -489,6 +489,11 @@ func (e errWorkerUnhealthy) Error() string {
 // jitter between attempts, and a per-query retry budget. Scans are read-only
 // and idempotent, so resends are safe. budget may be nil (no query budget).
 //
+// Deadlines are values (DESIGN.md §12): each attempt's deadline is the
+// earlier of the query deadline qdl and now+CallTimeout. It ships to the
+// worker in ScanRequest.Deadline and bounds the link call, where the mux
+// reaper enforces it — no timer is armed per attempt.
+//
 // A failure whose request never reached the wire (serve.NotSentError — a
 // deadline that expired while queued) leaves the link in place; any other
 // failure drops it for a redial, because the stream state is unknown.
@@ -496,12 +501,12 @@ func (e errWorkerUnhealthy) Error() string {
 // When the query is traced (tq non-nil), every attempt records an "rpc" span
 // under parent — so retries and failovers are visible as sibling spans — and
 // the worker's trace fragment attaches under the succeeding attempt's span.
-func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *ScanResponse, budget *atomic.Int64, tq *trace.T, parent trace.SpanRef, round int) error {
+func (m *Master) callWorker(ctx context.Context, qdl time.Time, w int, req ScanRequest, resp *ScanResponse, budget *atomic.Int64, tq *trace.T, parent trace.SpanRef, round int) error {
 	req.Seq = m.seq.Add(1)
 	req.TraceID = tq.ID()
 	f := m.fleet.Load()
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx, qdl); err != nil {
 			return err
 		}
 		ok, probe := f.breakers[w].allow(m.cfg.Retry, time.Now())
@@ -521,22 +526,17 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if round > 0 {
 			rpc.Int(trace.KeyFailoverRound, int64(round))
 		}
-		cctx := ctx
-		cancel := func() {}
-		if m.cfg.CallTimeout > 0 {
-			cctx, cancel = context.WithTimeout(ctx, m.cfg.CallTimeout)
+		cdl := m.callDeadline(qdl)
+		if !cdl.IsZero() {
+			req.Deadline = cdl.UnixNano()
 		}
-		if d, ok := cctx.Deadline(); ok {
-			req.Deadline = d.UnixNano()
-		}
-		l, err := m.workerLink(cctx, w)
+		l, err := m.workerLink(ctx, cdl, w)
 		if err == nil {
 			*resp = ScanResponse{} // a failed prior attempt may have partially decoded
 			sp := f.timer(w).Start()
-			err = l.scan(cctx, &req, resp)
+			err = l.scan(ctx, cdl, &req, resp)
 			sp.End()
 		}
-		cancel()
 		if err == nil {
 			if tq != nil && len(resp.Spans) > 0 {
 				tq.Attach(rpc, resp.Spans)
@@ -556,7 +556,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 			m.dropWorkerLink(w)
 			m.m.redials.Inc()
 		}
-		if ctx.Err() != nil {
+		if expired(ctx, qdl) != nil {
 			// The query itself is done (deadline or sibling cancellation):
 			// the worker is not to blame, and retrying is pointless.
 			m.m.failures.Inc()
@@ -574,23 +574,69 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 			return fmt.Errorf("dist: query retry budget exhausted: %w", err)
 		}
 		m.m.retries.Inc()
-		if serr := sleepCtx(ctx, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
+		if serr := sleepCtx(ctx, qdl, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
 			m.m.failures.Inc()
 			return serr
 		}
 	}
 }
 
-// sleepCtx sleeps for d or until ctx is done, returning ctx's error in the
-// latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
+// callDeadline is one worker call's deadline: the earlier of the query
+// deadline qdl and now+CallTimeout (zero: neither bounds the call).
+func (m *Master) callDeadline(qdl time.Time) time.Time {
+	if m.cfg.CallTimeout <= 0 {
+		return qdl
+	}
+	if d := time.Now().Add(m.cfg.CallTimeout); qdl.IsZero() || d.Before(qdl) {
+		return d
+	}
+	return qdl
+}
+
+// expired reports why work bounded by ctx and the deadline value dl (zero:
+// none) must stop: ctx's error, or context.DeadlineExceeded once dl has
+// passed. A value deadline needs no timer — it is checked wherever the work
+// would go on, and the mux reaper enforces it while a call waits.
+func expired(ctx context.Context, dl time.Time) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !dl.IsZero() && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// expiredOr substitutes the expiry error for an I/O error caused by ctx or
+// the deadline, so callers can distinguish "deadline expired" from a
+// genuinely broken peer with errors.Is.
+func expiredOr(ctx context.Context, dl time.Time, err error) error {
+	if xerr := expired(ctx, dl); xerr != nil {
+		return xerr
+	}
+	return err
+}
+
+// sleepCtx sleeps for d, or until ctx is done or the deadline dl (zero:
+// none) passes, returning the expiry error in the latter cases. It arms a
+// timer only when it actually sleeps.
+func sleepCtx(ctx context.Context, dl time.Time, d time.Duration) error {
+	if err := expired(ctx, dl); err != nil || d <= 0 {
+		return err
+	}
+	cut := false
+	if !dl.IsZero() {
+		if left := time.Until(dl); left < d {
+			d, cut = left, true
+		}
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		if cut {
+			return context.DeadlineExceeded
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -610,7 +656,8 @@ func (m *Master) Query(sql string) (QueryResponse, error) {
 // every scatter RPC down to the workers' scan loops, and a cancellation
 // interrupts in-flight calls.
 func (m *Master) QueryContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, localClient, sql, m.cfg.AllowPartial, false)
+	dl, _ := ctx.Deadline()
+	return m.query(ctx, dl, localClient, sql, m.cfg.AllowPartial, false)
 }
 
 // Explain runs one SQL statement with a forced trace (EXPLAIN ANALYZE): the
@@ -623,7 +670,8 @@ func (m *Master) Explain(sql string) (QueryResponse, error) {
 
 // ExplainContext is Explain under a caller-supplied context.
 func (m *Master) ExplainContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, localClient, sql, m.cfg.AllowPartial, true)
+	dl, _ := ctx.Deadline()
+	return m.query(ctx, dl, localClient, sql, m.cfg.AllowPartial, true)
 }
 
 // Ready reports whether the master can serve queries at full fidelity:
@@ -723,7 +771,12 @@ type queryStats struct {
 // Finish, the slow-query log, the cost record, and — for explain — the
 // assembled span tree on the response. explain forces a trace even when
 // sampling is off.
-func (m *Master) query(ctx context.Context, client, sql string, allowPartial, explain bool) (QueryResponse, error) {
+//
+// dl is the query deadline as a value (zero: none, and then the configured
+// QueryTimeout applies). It is enforced at every point the query blocks —
+// admission, backoff, dial, and the worker calls' mux reaper — so the
+// success path arms no timer for it; ctx only carries cancellation.
+func (m *Master) query(ctx context.Context, dl time.Time, client, sql string, allowPartial, explain bool) (QueryResponse, error) {
 	var start time.Time
 	if m.m.queries != nil {
 		start = time.Now()
@@ -732,10 +785,8 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 		defer func() { m.m.latency.Observe(float64(time.Since(start))) }()
 		m.m.queries.Inc()
 	}
-	if _, ok := ctx.Deadline(); !ok && m.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.cfg.QueryTimeout)
-		defer cancel()
+	if dl.IsZero() && m.cfg.QueryTimeout > 0 {
+		dl = time.Now().Add(m.cfg.QueryTimeout)
 	}
 	tq := m.traceFor(explain)
 	costLog := m.costLog.Load()
@@ -743,12 +794,12 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 	if tq == nil && costLog == nil && slow <= 0 {
 		// The fully untraced fast path: beyond two atomic loads it pays only
 		// the nil checks compiled into the instrumentation points.
-		return m.serveQuery(ctx, client, sql, allowPartial, nil, trace.SpanRef{}, nil)
+		return m.serveQuery(ctx, dl, client, sql, allowPartial, nil, trace.SpanRef{}, nil)
 	}
 	qstart := time.Now()
 	root := tq.Start("query", trace.SpanRef{})
 	var st queryStats
-	resp, err := m.serveQuery(ctx, client, sql, allowPartial, tq, root, &st)
+	resp, err := m.serveQuery(ctx, dl, client, sql, allowPartial, tq, root, &st)
 	elapsed := time.Since(qstart)
 	if tq != nil {
 		root.Int(trace.KeyRows, int64(resp.Rows))
@@ -837,7 +888,7 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 // client for fair queueing), then route and scatter, caching clean complete
 // results on the way out. tq and st may be nil (untraced fast path) — all
 // instrumentation points degrade to nil checks.
-func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
+func (m *Master) serveQuery(ctx context.Context, dl time.Time, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
 	// A cached clean result answers without a slot: serving memory beats
 	// re-scattering, and the cache can only hold results that are still
 	// valid (InvalidateCaches empties it on layout/placement change).
@@ -862,7 +913,7 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 	}
 	if m.admission != nil {
 		asp := tq.Start("admission", root)
-		release, err := m.admission.Acquire(ctx, client)
+		release, err := m.admission.Acquire(ctx, dl, client)
 		if err != nil {
 			asp.Int(trace.KeyError, 1)
 			asp.End()
@@ -923,7 +974,7 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 		ssp := tq.Start("scatter", root)
 		ssp.Int(trace.KeyRange, int64(i))
 		ssp.Int(trace.KeyPartitions, int64(len(rp.Parts)))
-		failed, cause, err := m.scatterRange(ctx, view, rp.Range, rp.Parts, budget, allowPartial, &total, tq, ssp)
+		failed, cause, err := m.scatterRange(ctx, dl, view, rp.Range, rp.Parts, budget, allowPartial, &total, tq, ssp)
 		if err != nil {
 			ssp.Int(trace.KeyError, 1)
 			ssp.End()
@@ -1009,20 +1060,33 @@ func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int 
 	return first
 }
 
+// scanGroup is one worker's share of a scatter round.
+type scanGroup struct {
+	w   int
+	ids []layout.ID
+}
+
+// scanResult is one worker call's outcome in a scatter round.
+type scanResult struct {
+	scanGroup
+	resp ScanResponse
+	err  error
+}
+
 // scatterRange fans one range query out to the workers covering its
 // partitions and gathers the results, failing partitions over to their
 // replicas in rounds. It returns the partitions no replica could serve
 // together with the first underlying failure; err is non-nil only for a hard
-// abort (context done). In-flight sibling RPCs are cancelled as soon as the
-// range is known to fail, and the scatter always drains its goroutines
-// before returning.
-func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids []layout.ID, budget *atomic.Int64, allowPartial bool, total *QueryResponse, tq *trace.T, span trace.SpanRef) (failed []layout.ID, cause, err error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// abort (context done or query deadline dl passed). A round whose partitions
+// all live on one worker runs its call on the calling goroutine; wider
+// rounds call each worker on its own goroutine, cancel the in-flight
+// siblings as soon as the range is known to fail, and always drain before
+// returning.
+func (m *Master) scatterRange(ctx context.Context, dl time.Time, v *routeView, q geom.Box, ids []layout.ID, budget *atomic.Int64, allowPartial bool, total *QueryResponse, tq *trace.T, span trace.SpanRef) (failed []layout.ID, cause, err error) {
 	pending := ids
 	var tried map[layout.ID]map[int]bool // lazily allocated: only on failure
 	for round := 0; len(pending) > 0; round++ {
-		byWorker := make(map[int][]layout.ID)
+		var groups []scanGroup
 		for _, id := range pending {
 			w := m.pickWorker(v, id, tried[id])
 			if w < 0 {
@@ -1032,47 +1096,41 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 			if round > 0 {
 				m.m.failovers.Inc()
 			}
-			byWorker[w] = append(byWorker[w], id)
+			g := 0
+			for g < len(groups) && groups[g].w != w {
+				g++
+			}
+			if g == len(groups) {
+				groups = append(groups, scanGroup{w: w})
+			}
+			groups[g].ids = append(groups[g].ids, id)
 		}
 		if len(failed) > 0 && !allowPartial {
 			// Some partition's replicas are exhausted (only possible after a
 			// failure round, so cause is set) and the query cannot go
 			// partial: don't spend another scatter on a lost range.
-			for _, bids := range byWorker {
-				failed = append(failed, bids...)
+			for _, g := range groups {
+				failed = append(failed, g.ids...)
 			}
 			return failed, cause, nil
 		}
-		if len(byWorker) == 0 {
+		if len(groups) == 0 {
 			break
 		}
 		if round == 0 {
-			m.m.fanout.Observe(float64(len(byWorker)))
-		}
-		type result struct {
-			w    int
-			ids  []layout.ID
-			resp ScanResponse
-			err  error
-		}
-		results := make(chan result, len(byWorker))
-		for w, bids := range byWorker {
-			go func(w int, bids []layout.ID, round int) {
-				var r result
-				r.w, r.ids = w, bids
-				r.err = m.callWorker(sctx, w, ScanRequest{Query: q, IDs: bids, Epoch: v.epoch}, &r.resp, budget, tq, span, round)
-				results <- r
-			}(w, bids, round)
+			m.m.fanout.Observe(float64(len(groups)))
 		}
 		var next []layout.ID
 		fatal := false
-		for range byWorker {
-			r := <-results
+		// gather folds one call's outcome into the range; it reports whether
+		// the range is lost (some partition has no replica left and the
+		// query cannot go partial).
+		gather := func(r *scanResult) bool {
 			if r.err == nil && r.resp.Err == "" {
 				total.Rows += r.resp.Rows
 				total.BytesScanned += r.resp.BytesRead
 				total.BytesSkipped += r.resp.BytesSkipped
-				continue
+				return false
 			}
 			ferr := r.err
 			if ferr == nil {
@@ -1095,15 +1153,37 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 					retryable = true
 				}
 			}
-			if !retryable && !allowPartial {
-				// No replica left for at least one partition and the query
-				// cannot go partial: cancel the in-flight siblings; keep
-				// draining.
-				fatal = true
-				cancel()
-			}
+			return !retryable && !allowPartial
 		}
-		if err := ctx.Err(); err != nil {
+		req := ScanRequest{Query: q, Epoch: v.epoch}
+		if len(groups) == 1 {
+			var r scanResult
+			r.scanGroup = groups[0]
+			req.IDs = r.ids
+			r.err = m.callWorker(ctx, dl, r.w, req, &r.resp, budget, tq, span, round)
+			fatal = gather(&r)
+		} else {
+			sctx, cancel := context.WithCancel(ctx)
+			results := make(chan scanResult, len(groups))
+			for _, g := range groups {
+				go func(g scanGroup, req ScanRequest, round int) {
+					r := scanResult{scanGroup: g}
+					req.IDs = g.ids
+					r.err = m.callWorker(sctx, dl, g.w, req, &r.resp, budget, tq, span, round)
+					results <- r
+				}(g, req, round)
+			}
+			for range groups {
+				r := <-results
+				if gather(&r) && !fatal {
+					// Cancel the in-flight siblings; keep draining.
+					fatal = true
+					cancel()
+				}
+			}
+			cancel()
+		}
+		if err := expired(ctx, dl); err != nil {
 			return nil, nil, err
 		}
 		if fatal {
@@ -1185,23 +1265,21 @@ func (m *Master) serveClient(c net.Conn) {
 // handleQueryRequest runs one client query on the serving path; failures
 // become response-carried errors with their typed code.
 func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryResponse {
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
+	var dl time.Time
 	if req.TimeoutMillis > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		dl = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
 	}
-	resp, err := m.query(ctx, client, req.SQL, req.AllowPartial || m.cfg.AllowPartial, req.Trace)
-	cancel()
+	resp, err := m.query(context.Background(), dl, client, req.SQL, req.AllowPartial || m.cfg.AllowPartial, req.Trace)
 	if err != nil {
 		resp = QueryResponse{Err: err.Error(), ErrCode: errCodeFor(err)}
 	}
 	return resp
 }
 
-// serveBinaryClient pipelines query frames: each request executes on its
-// own goroutine (bounded by ClientPipeline) and responses return in
-// completion order, so one expensive query never blocks the cheap ones
-// behind it on the same connection.
+// serveBinaryClient pipelines query frames: requests execute concurrently
+// on the session's handler goroutines (at most ClientPipeline) and responses
+// return in completion order, so one expensive query never blocks the cheap
+// ones behind it on the same connection.
 func (m *Master) serveBinaryClient(c net.Conn, br *bufio.Reader) {
 	client := c.RemoteAddr().String()
 	err := serve.ServeConn(c, br, m.cfg.ClientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {

@@ -285,17 +285,13 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if err := ctx.Err(); err != nil {
 			return AdminResponse{}, err
 		}
-		cctx := ctx
-		cancel := func() {}
-		if m.cfg.CallTimeout > 0 {
-			cctx, cancel = context.WithTimeout(ctx, m.cfg.CallTimeout)
-		}
+		qdl, _ := ctx.Deadline()
+		cdl := m.callDeadline(qdl)
 		var resp AdminResponse
-		l, err := m.workerLink(cctx, w)
+		l, err := m.workerLink(ctx, cdl, w)
 		if err == nil {
-			err = l.admin(cctx, &req, &resp)
+			err = l.admin(ctx, cdl, &req, &resp)
 		}
-		cancel()
 		if err == nil && resp.Err != "" {
 			// The worker executed and refused (bad payload, unknown alias):
 			// retrying cannot help.
@@ -312,7 +308,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if ctx.Err() != nil {
 			return AdminResponse{}, lastErr
 		}
-		if serr := sleepCtx(ctx, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
+		if serr := sleepCtx(ctx, time.Time{}, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
 			return AdminResponse{}, lastErr
 		}
 	}

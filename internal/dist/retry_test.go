@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"paw/internal/blockstore"
 	"paw/internal/core"
@@ -163,5 +165,29 @@ func TestWorkerMetricsCountScans(t *testing.T) {
 	}
 	if got := snap.Gauge(MetricWorkerConns); got != 1 {
 		t.Errorf("active connections = %d, want 1", got)
+	}
+}
+
+// TestSleepCtxDeadlineValue: the retry backoff is cut at the query deadline
+// value (returning context.DeadlineExceeded there), runs in full without
+// one, and does not sleep at all once the deadline has passed.
+func TestSleepCtxDeadlineValue(t *testing.T) {
+	ctx := context.Background()
+	start := time.Now()
+	if err := sleepCtx(ctx, start.Add(20*time.Millisecond), time.Second); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cut backoff: err = %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d < 20*time.Millisecond || d > 500*time.Millisecond {
+		t.Fatalf("cut backoff slept %v, want just past 20ms", d)
+	}
+	if err := sleepCtx(ctx, time.Time{}, 10*time.Millisecond); err != nil {
+		t.Fatalf("full backoff: %v", err)
+	}
+	start = time.Now()
+	if err := sleepCtx(ctx, start.Add(-time.Millisecond), time.Second); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("past deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("past deadline still slept %v", d)
 	}
 }

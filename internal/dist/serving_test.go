@@ -452,7 +452,7 @@ func TestWorkerScanSharing(t *testing.T) {
 	}
 	defer wk.Close()
 
-	link, err := dialMuxLink(context.Background(), addr, 2)
+	link, err := dialMuxLink(context.Background(), time.Time{}, addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestWorkerScanSharing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			r := req
-			errs[i] = link.scan(context.Background(), &r, &resps[i])
+			errs[i] = link.scan(context.Background(), time.Time{}, &r, &resps[i])
 		}(i)
 	}
 	<-started

@@ -38,28 +38,38 @@ func (t Transport) String() string {
 // workerLink is one master→worker transport endpoint. Implementations
 // must be safe for concurrent scan calls.
 type workerLink interface {
-	// scan performs one ScanRequest round trip. The error contract follows
-	// serve.Mux.Call: a serve.NotSentError means the link was never touched
-	// and remains healthy; any other failure means the caller should drop
-	// the link and redial.
-	scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error
-	// admin performs one migration-control round trip (same error contract
-	// as scan). Only the binary transport carries admin frames.
-	admin(ctx context.Context, req *AdminRequest, resp *AdminResponse) error
+	// scan performs one ScanRequest round trip bounded by deadline (zero:
+	// none) and cancelled by ctx. The error contract follows serve.Mux.Call:
+	// a serve.NotSentError means the link was never touched and remains
+	// healthy; any other failure means the caller should drop the link and
+	// redial.
+	scan(ctx context.Context, deadline time.Time, req *ScanRequest, resp *ScanResponse) error
+	// admin performs one migration-control round trip (same deadline and
+	// error contract as scan). Only the binary transport carries admin
+	// frames.
+	admin(ctx context.Context, deadline time.Time, req *AdminRequest, resp *AdminResponse) error
 	close()
 }
 
 // gobLink adapts the legacy codec-pair connection to the link interface.
 type gobLink struct{ c *conn }
 
-func (l *gobLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
+// scan bounds the exchange with a context deadline: the gob codec pair is
+// the differential oracle, not the serving path, so it keeps its
+// timer-backed connection deadlines.
+func (l *gobLink) scan(ctx context.Context, deadline time.Time, req *ScanRequest, resp *ScanResponse) error {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	return l.c.call(ctx, req, resp)
 }
 
 // admin fails: the gob worker loop decodes a homogeneous ScanRequest stream,
 // so migration control cannot ride it. Migrations require TransportBinary;
 // the gob path remains the query-time differential oracle.
-func (l *gobLink) admin(context.Context, *AdminRequest, *AdminResponse) error {
+func (l *gobLink) admin(context.Context, time.Time, *AdminRequest, *AdminResponse) error {
 	return errors.New("dist: partition migration requires the binary transport (gob is the query-path oracle only)")
 }
 
@@ -74,13 +84,14 @@ type muxLink struct {
 	next  atomic.Uint32
 }
 
-// dialMuxLink opens n multiplexed connections to addr under ctx's deadline.
-func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
+// dialMuxLink opens n multiplexed connections to addr under deadline (zero:
+// none) and ctx.
+func dialMuxLink(ctx context.Context, deadline time.Time, addr string, n int) (*muxLink, error) {
 	if n < 1 {
 		n = 1
 	}
 	l := &muxLink{muxes: make([]*serve.Mux, 0, n)}
-	var d net.Dialer
+	d := net.Dialer{Deadline: deadline}
 	for i := 0; i < n; i++ {
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
@@ -97,9 +108,9 @@ func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
 	return l, nil
 }
 
-func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
+func (l *muxLink) scan(ctx context.Context, deadline time.Time, req *ScanRequest, resp *ScanResponse) error {
 	mx := l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
-	return mx.Call(ctx, msgScanReq, req, func(typ byte, payload []byte) error {
+	return mx.Call(ctx, deadline, msgScanReq, req, func(typ byte, payload []byte) error {
 		if typ != msgScanResp {
 			return fmt.Errorf("dist: unexpected frame type %d for scan response", typ)
 		}
@@ -107,9 +118,9 @@ func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse
 	})
 }
 
-func (l *muxLink) admin(ctx context.Context, req *AdminRequest, resp *AdminResponse) error {
+func (l *muxLink) admin(ctx context.Context, deadline time.Time, req *AdminRequest, resp *AdminResponse) error {
 	mx := l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
-	return mx.Call(ctx, msgAdminReq, req, func(typ byte, payload []byte) error {
+	return mx.Call(ctx, deadline, msgAdminReq, req, func(typ byte, payload []byte) error {
 		if typ != msgAdminResp {
 			return fmt.Errorf("dist: unexpected frame type %d for admin response", typ)
 		}
@@ -171,7 +182,8 @@ func (c *MuxClient) Explain(ctx context.Context, sql string) (QueryResponse, err
 
 func (c *MuxClient) call(ctx context.Context, sql string, explain bool) (QueryResponse, error) {
 	req := QueryRequest{SQL: sql, AllowPartial: c.allowPartial.Load(), Trace: explain}
-	if d, ok := ctx.Deadline(); ok {
+	d, ok := ctx.Deadline()
+	if ok {
 		ms := time.Until(d).Milliseconds()
 		if ms < 1 {
 			ms = 1
@@ -179,7 +191,7 @@ func (c *MuxClient) call(ctx context.Context, sql string, explain bool) (QueryRe
 		req.TimeoutMillis = ms
 	}
 	var resp QueryResponse
-	err := c.mux.Call(ctx, msgQueryReq, &req, func(typ byte, payload []byte) error {
+	err := c.mux.Call(ctx, d, msgQueryReq, &req, func(typ byte, payload []byte) error {
 		if typ != msgQueryResp {
 			return fmt.Errorf("dist: unexpected frame type %d for query response", typ)
 		}

@@ -35,8 +35,8 @@ const workerMaxInflight = 64
 //
 // Sessions speak either the multiplexed binary frame protocol (detected by
 // the serve.Magic preamble) or the legacy gob codec pair. Binary sessions
-// pipeline: every request runs on its own goroutine and responses return in
-// completion order.
+// pipeline: requests run concurrently on the session's handler goroutines
+// and responses return in completion order.
 type Worker struct {
 	store    *blockstore.Store
 	assigned map[layout.ID]bool
@@ -44,16 +44,12 @@ type Worker struct {
 	// for concurrent drivers, so all connections share the one bounded pool —
 	// total scan parallelism stays bounded regardless of session count.
 	scanPool *parbuild.Pool
-	// flight coalesces concurrent identical scans (same partition, same
-	// predicate class): one kernel pass runs and every waiter shares its
-	// stats. Keys are partition ID + query-box bytes.
-	flight serve.Flight[colstore.ScanStats]
 	// batchFlight coalesces whole identical scan batches (same partition
-	// list, same predicate class). Per-partition sharing alone rarely fires
-	// in the serving path: identical concurrent batches walk the same ID
-	// list in the same order, so they stay one partition out of phase and
-	// never overlap inside any single short kernel pass. Batch-level keys
-	// make the whole multi-partition execution the sharing window.
+	// list, same predicate class): one execution runs and every waiter
+	// shares its response. Sharing is batch-level only: identical
+	// concurrent batches walk the same ID list in the same order, so they
+	// stay one partition out of phase and never overlap inside any single
+	// short kernel pass — per-partition sharing would not fire.
 	batchFlight serve.Flight[ScanResponse]
 	// scanHook, when set, observes every kernel scan actually executed (not
 	// the shared attachments). Test-only.
@@ -364,47 +360,20 @@ func (w *Worker) serveGobConn(c net.Conn, br *bufio.Reader) {
 	}
 }
 
-// scanKey is the scan-sharing key: one partition under one predicate class
-// in one layout epoch. The box bytes identify the predicate — two requests
-// share a kernel pass only when their rewritten range is bit-identical, so
-// sharing can never change a result. The epoch participates because the same
-// ID names different physical partitions in different epochs; renamed
-// partitions that alias one table could legally share across epochs, but the
-// key cannot know which IDs alias without racing the install path.
-func scanKey(epoch uint64, id layout.ID, q geom.Box) string {
-	b := make([]byte, 0, 16+16*len(q.Lo))
-	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(id)))
-	for _, v := range q.Lo {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+// scanPartition runs the kernel scan of one partition under one layout
+// epoch.
+func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, error) {
+	tab, useStore, err := w.lookup(epoch, id)
+	if err != nil {
+		return colstore.ScanStats{}, err
 	}
-	for _, v := range q.Hi {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	if w.scanHook != nil {
+		w.scanHook(id)
 	}
-	return string(b)
-}
-
-// scanPartition runs (or attaches to) the kernel scan of one partition under
-// one layout epoch. shared reports an attachment: the stats describe a
-// kernel pass another request ran.
-func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, bool, error) {
-	st, shared, err := w.flight.Do(scanKey(epoch, id, q), func() (colstore.ScanStats, error) {
-		tab, useStore, err := w.lookup(epoch, id)
-		if err != nil {
-			return colstore.ScanStats{}, err
-		}
-		if w.scanHook != nil {
-			w.scanHook(id)
-		}
-		if useStore {
-			return w.store.ScanPartitionParallel(id, q, w.scanPool)
-		}
-		return tab.CountParallel(q, w.scanPool, &w.tabScanners), nil
-	})
-	if shared {
-		w.m.sharedScans.Inc()
+	if useStore {
+		return w.store.ScanPartitionParallel(id, q, w.scanPool)
 	}
-	return st, shared, err
+	return tab.CountParallel(q, w.scanPool, &w.tabScanners), nil
 }
 
 // batchKey is the whole-batch sharing key: the layout epoch, the ordered
@@ -515,7 +484,7 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			break
 		}
 		sp := tq.Start("scan", root)
-		st, sharedScan, err := w.scanPartition(req.Epoch, id, req.Query)
+		st, err := w.scanPartition(req.Epoch, id, req.Query)
 		if err != nil {
 			if tq != nil {
 				sp.Int(trace.KeyPartition, int64(id))
@@ -539,9 +508,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			sp.Int(trace.KeyEncDict, int64(st.ColsDict))
 			sp.Int(trace.KeyEncRLE, int64(st.ColsRLE))
 			sp.Int(trace.KeyEncFOR, int64(st.ColsFOR))
-			if sharedScan {
-				sp.Int(trace.KeyShared, 1)
-			}
 			sp.End()
 		}
 		resp.Rows += st.Matched

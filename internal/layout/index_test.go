@@ -182,7 +182,7 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 		}
 	}
 	for i := 0; i < 120; i++ {
-		pt := geom.Point{r.Float64() * 104 - 2, r.Float64() * 104 - 2}
+		pt := geom.Point{r.Float64()*104 - 2, r.Float64()*104 - 2}
 		if i%3 == 0 && len(l.Parts) > 0 {
 			// Points on descriptor boundaries: routing ties must resolve
 			// identically (first matching child wins).

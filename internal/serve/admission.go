@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 )
 
 // ErrOverloaded is the typed overload error: the serving tier is at its
@@ -84,8 +85,11 @@ func (a *Admission) release() {
 // Acquire admits one request for client, blocking in the client's fair
 // queue while the tier is saturated. It returns the release function the
 // caller must invoke when the request finishes, or ErrOverloaded when the
-// client's queue is full, or ctx's error when the wait is abandoned.
-func (a *Admission) Acquire(ctx context.Context, client string) (release func(), err error) {
+// client's queue is full, or the expiry error when the wait is abandoned:
+// ctx's error, or context.DeadlineExceeded once deadline (zero: none)
+// passes. The deadline is a value; a timer is armed for it only when the
+// request actually has to wait.
+func (a *Admission) Acquire(ctx context.Context, deadline time.Time, client string) (release func(), err error) {
 	a.mu.Lock()
 	if a.inflight < a.maxInflight && len(a.queues) == 0 {
 		a.inflight++
@@ -107,6 +111,12 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 	a.waited++
 	a.mu.Unlock()
 
+	var expire <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expire = t.C
+	}
 	select {
 	case <-ch:
 		a.mu.Lock()
@@ -114,24 +124,30 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 		a.mu.Unlock()
 		return a.release, nil
 	case <-ctx.Done():
-		a.mu.Lock()
-		q := a.queues[client]
-		for i, w := range q {
-			if w == ch {
-				a.queues[client] = append(q[:i:i], q[i+1:]...)
-				if len(a.queues[client]) == 0 {
-					delete(a.queues, client)
-				}
-				a.mu.Unlock()
-				return nil, ctx.Err()
-			}
-		}
-		a.mu.Unlock()
-		// The grant raced the cancellation: the slot is ours and must be
-		// handed back before reporting the abandonment.
-		a.release()
-		return nil, ctx.Err()
+		return nil, a.abandon(client, ch, ctx.Err())
+	case <-expire:
+		return nil, a.abandon(client, ch, context.DeadlineExceeded)
 	}
+}
+
+// abandon withdraws waiter ch from client's queue and returns err. When the
+// grant raced the abandonment the slot is already ours and is handed back.
+func (a *Admission) abandon(client string, ch chan struct{}, err error) error {
+	a.mu.Lock()
+	q := a.queues[client]
+	for i, w := range q {
+		if w == ch {
+			a.queues[client] = append(q[:i:i], q[i+1:]...)
+			if len(a.queues[client]) == 0 {
+				delete(a.queues, client)
+			}
+			a.mu.Unlock()
+			return err
+		}
+	}
+	a.mu.Unlock()
+	a.release()
+	return err
 }
 
 // Stats returns cumulative admission counts: requests admitted, requests

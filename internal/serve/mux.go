@@ -40,20 +40,40 @@ type ClosedError struct{ Cause error }
 func (e *ClosedError) Error() string { return fmt.Sprintf("serve: connection down: %v", e.Cause) }
 func (e *ClosedError) Unwrap() error { return e.Cause }
 
+// errWriteExpired is the cause a mux dies with when a request's bytes were
+// still being written when its deadline passed: the frame may be partially
+// on the wire, so the stream cannot be trusted any more.
+var errWriteExpired = errors.New("serve: request write still blocked at its deadline")
+
 // muxReply hands one response frame from the reader goroutine to a waiter.
 // The payload buffer belongs to the mux pool; the waiter returns it after
-// decoding.
+// decoding. expired marks the reaper's verdict instead of a frame: the
+// waiter's deadline passed before its response arrived.
 type muxReply struct {
 	typ     byte
 	payload []byte
+	expired bool
+}
+
+// muxWaiter is one in-flight call: its reply channel and its deadline (zero:
+// none).
+type muxWaiter struct {
+	ch       chan muxReply
+	deadline time.Time
 }
 
 // Mux is the client side of one multiplexed binary-protocol connection:
 // many goroutines issue Call concurrently and their requests pipeline over
 // the single connection, with responses matched back by sequence number. A
-// call abandoned by its context simply stops waiting — the late response is
-// discarded by sequence on arrival — so deadlines and cancellations never
-// poison the stream, unlike a shared codec pair.
+// call abandoned by its context or deadline simply stops waiting — the late
+// response is discarded by sequence on arrival — so deadlines and
+// cancellations never poison the stream, unlike a shared codec pair.
+//
+// Deadlines are values, not timers: each waiter records its own, and one
+// reaper timer per connection is armed at the earliest pending deadline.
+// When it fires it expires every overdue waiter and re-arms at the next
+// earliest. Calls that all carry the same timeout register ever-later
+// deadlines, so the success path almost never touches the timer.
 type Mux struct {
 	c    net.Conn
 	seq  atomic.Uint64
@@ -62,11 +82,19 @@ type Mux struct {
 	wmu  sync.Mutex
 	wbuf []byte // frame scratch, reused across calls
 	pbuf []byte // payload scratch, reused across calls
+	// sending is the sequence number whose bytes are being written (0:
+	// none). A write still in progress when its deadline passes is cut off
+	// by closing the connection.
+	sending atomic.Uint64
 
 	mu      sync.Mutex
-	waiters map[uint64]chan muxReply
+	waiters map[uint64]muxWaiter
 	err     error // set once the connection is down
 	done    chan struct{}
+	// reaper fires at armed, the earliest deadline it was last asked for
+	// (zero: not pending). Created on first use.
+	reaper *time.Timer
+	armed  time.Time
 }
 
 // NewMux sends the protocol preamble over c and starts the response reader.
@@ -78,7 +106,7 @@ func NewMux(c net.Conn) (*Mux, error) {
 	}
 	m := &Mux{
 		c:       c,
-		waiters: make(map[uint64]chan muxReply),
+		waiters: make(map[uint64]muxWaiter),
 		done:    make(chan struct{}),
 	}
 	m.pool.New = func() any { return []byte(nil) }
@@ -117,7 +145,58 @@ func (m *Mux) readLoop() {
 			m.pool.Put(payload[:0])
 			continue
 		}
-		w <- muxReply{typ: typ, payload: payload} // buffered; never blocks
+		w.ch <- muxReply{typ: typ, payload: payload} // buffered; never blocks
+	}
+}
+
+// armLocked makes the reaper fire no later than d. Re-arming happens only
+// when d is earlier than the pending fire time, or nothing is pending.
+func (m *Mux) armLocked(d time.Time) {
+	if !m.armed.IsZero() && !d.Before(m.armed) {
+		return
+	}
+	m.armed = d
+	if m.reaper == nil {
+		m.reaper = time.AfterFunc(time.Until(d), m.reap)
+		return
+	}
+	m.reaper.Reset(time.Until(d))
+}
+
+// reap expires every waiter whose deadline has passed and re-arms the
+// reaper at the earliest deadline still pending. A waiter whose request is
+// still being written kills the connection: that write is blocked past its
+// deadline, and a partial frame leaves the stream unusable.
+func (m *Mux) reap() {
+	now := time.Now()
+	var expired []chan muxReply
+	kill := false
+	m.mu.Lock()
+	m.armed = time.Time{}
+	var next time.Time
+	for seq, w := range m.waiters {
+		if w.deadline.IsZero() {
+			continue
+		}
+		if !now.Before(w.deadline) {
+			delete(m.waiters, seq)
+			expired = append(expired, w.ch)
+			kill = kill || m.sending.Load() == seq
+			continue
+		}
+		if next.IsZero() || w.deadline.Before(next) {
+			next = w.deadline
+		}
+	}
+	if !next.IsZero() {
+		m.armLocked(next)
+	}
+	m.mu.Unlock()
+	for _, ch := range expired {
+		ch <- muxReply{expired: true} // buffered; never blocks
+	}
+	if kill {
+		m.closeWith(errWriteExpired)
 	}
 }
 
@@ -131,12 +210,22 @@ func (m *Mux) closeWith(cause error) {
 	m.err = cause
 	waiters := m.waiters
 	m.waiters = nil
+	if m.reaper != nil {
+		m.reaper.Stop()
+	}
 	close(m.done)
 	m.mu.Unlock()
 	m.c.Close()
 	for _, w := range waiters {
-		close(w) // a closed reply channel means "connection down"
+		close(w.ch) // a closed reply channel means "connection down"
 	}
+}
+
+// cause returns the error the connection died with.
+func (m *Mux) cause() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
 }
 
 // Close tears the connection down; in-flight calls fail with a ClosedError.
@@ -146,29 +235,34 @@ func (m *Mux) Close() error {
 }
 
 // send frames and writes one request. It returns a NotSentError when ctx
-// expired (or the mux was already down) before any byte was written.
-func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) error {
+// or the deadline expired (or the mux was already down) before any byte was
+// written. The write itself is bounded by the reaper, not by a connection
+// deadline.
+func (m *Mux) send(ctx context.Context, deadline time.Time, typ byte, seq uint64, req Marshaler) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return &NotSentError{Err: err}
 	}
-	m.mu.Lock()
-	down := m.err
-	m.mu.Unlock()
-	if down != nil {
+	// Mark the write before the last deadline check: a reaper run that
+	// expires this call either precedes the mark (and the check below sees
+	// the deadline passed) or follows it (and cuts the write off), so no
+	// write can outlive its deadline unobserved.
+	m.sending.Store(seq)
+	defer m.sending.Store(0)
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return &NotSentError{Err: context.DeadlineExceeded}
+	}
+	if down := m.cause(); down != nil {
 		return &ClosedError{Cause: down}
 	}
 	m.pbuf = req.AppendWire(m.pbuf[:0])
 	m.wbuf = AppendFrame(m.wbuf[:0], typ, seq, m.pbuf)
-	// A blocked write (peer wedged, TCP buffer full) is bounded by the call
-	// deadline; the write deadline is cleared before the next writer runs.
-	if d, ok := ctx.Deadline(); ok {
-		m.c.SetWriteDeadline(d)
-	}
 	_, err := m.c.Write(m.wbuf)
-	m.c.SetWriteDeadline(time.Time{})
 	if err != nil {
+		if cause := m.cause(); cause != nil {
+			err = cause // the reaper (or the reader) closed the connection
+		}
 		// The frame may be partially written: the stream is unusable.
 		err = fmt.Errorf("serve: writing request: %w", err)
 		m.closeWith(err)
@@ -177,16 +271,33 @@ func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) err
 	return nil
 }
 
+// decode hands a delivered response to dec and recycles its buffer.
+func (m *Mux) decode(reply muxReply, dec func(typ byte, payload []byte) error) error {
+	err := dec(reply.typ, reply.payload)
+	m.pool.Put(reply.payload[:0])
+	if err != nil {
+		// The peer sent a frame this caller cannot decode: framing is
+		// intact but the session is broken. Kill it.
+		m.closeWith(err)
+	}
+	return err
+}
+
 // Call performs one pipelined request/response exchange: encode req, send it
 // tagged with a fresh sequence number, and wait for the matching response,
 // which is handed to dec (typ is the response frame's type byte; the payload
 // is only valid during the callback). Concurrent calls interleave freely.
 //
+// deadline (zero: none) bounds the call without arming a timer of its own:
+// the connection's reaper expires it with context.DeadlineExceeded. ctx
+// still cancels the wait; a deadline on ctx is enforced only by ctx itself,
+// so callers pass the one they want reaped explicitly.
+//
 // Error contract: a NotSentError means the connection was never touched; a
-// ctx error after the send means the call was abandoned but the connection
-// remains healthy (the response will be discarded on arrival); any other
-// error means the connection is down and must be redialed.
-func (m *Mux) Call(ctx context.Context, typ byte, req Marshaler, dec func(typ byte, payload []byte) error) error {
+// ctx or deadline error after the send means the call was abandoned but the
+// connection remains healthy (the response will be discarded on arrival);
+// any other error means the connection is down and must be redialed.
+func (m *Mux) Call(ctx context.Context, deadline time.Time, typ byte, req Marshaler, dec func(typ byte, payload []byte) error) error {
 	seq := m.seq.Add(1)
 	w := make(chan muxReply, 1)
 	m.mu.Lock()
@@ -195,10 +306,13 @@ func (m *Mux) Call(ctx context.Context, typ byte, req Marshaler, dec func(typ by
 		m.mu.Unlock()
 		return &ClosedError{Cause: err}
 	}
-	m.waiters[seq] = w
+	m.waiters[seq] = muxWaiter{ch: w, deadline: deadline}
+	if !deadline.IsZero() {
+		m.armLocked(deadline)
+	}
 	m.mu.Unlock()
 
-	if err := m.send(ctx, typ, seq, req); err != nil {
+	if err := m.send(ctx, deadline, typ, seq, req); err != nil {
 		m.mu.Lock()
 		if m.waiters != nil {
 			delete(m.waiters, seq)
@@ -210,20 +324,12 @@ func (m *Mux) Call(ctx context.Context, typ byte, req Marshaler, dec func(typ by
 	select {
 	case reply, ok := <-w:
 		if !ok {
-			m.mu.Lock()
-			cause := m.err
-			m.mu.Unlock()
-			return &ClosedError{Cause: cause}
+			return &ClosedError{Cause: m.cause()}
 		}
-		err := dec(reply.typ, reply.payload)
-		m.pool.Put(reply.payload[:0])
-		if err != nil {
-			// The peer sent a frame this caller cannot decode: framing is
-			// intact but the session is broken. Kill it.
-			m.closeWith(err)
-			return err
+		if reply.expired {
+			return context.DeadlineExceeded
 		}
-		return nil
+		return m.decode(reply, dec)
 	case <-ctx.Done():
 		m.mu.Lock()
 		if m.waiters != nil {
@@ -234,24 +340,16 @@ func (m *Mux) Call(ctx context.Context, typ byte, req Marshaler, dec func(typ by
 			}
 		}
 		m.mu.Unlock()
-		// The response raced the cancellation in; prefer delivering it.
+		// The response (or the reaper's expiry) raced the cancellation in;
+		// prefer delivering it.
 		if reply, ok := <-w; ok {
-			err := dec(reply.typ, reply.payload)
-			m.pool.Put(reply.payload[:0])
-			if err != nil {
-				m.closeWith(err)
-				return err
+			if reply.expired {
+				return context.DeadlineExceeded
 			}
-			return nil
+			return m.decode(reply, dec)
 		}
-		m.mu.Lock()
-		cause := m.err
-		m.mu.Unlock()
-		return &ClosedError{Cause: cause}
+		return &ClosedError{Cause: m.cause()}
 	case <-m.done:
-		m.mu.Lock()
-		cause := m.err
-		m.mu.Unlock()
-		return &ClosedError{Cause: cause}
+		return &ClosedError{Cause: m.cause()}
 	}
 }

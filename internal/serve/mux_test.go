@@ -76,7 +76,7 @@ func TestMuxConcurrentCallsPipeline(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				want := []byte(fmt.Sprintf("g%d-call%d", g, i))
 				var got []byte
-				err := m.Call(context.Background(), 5, blob(want), func(typ byte, payload []byte) error {
+				err := m.Call(context.Background(), time.Time{}, 5, blob(want), func(typ byte, payload []byte) error {
 					if typ != 6 {
 						return fmt.Errorf("resp typ=%d", typ)
 					}
@@ -121,7 +121,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = m.Call(ctx, 1, blob("slow"), func(byte, []byte) error { return nil })
+	err = m.Call(ctx, time.Time{}, 1, blob("slow"), func(byte, []byte) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("slow call: err=%v, want deadline exceeded", err)
 	}
@@ -131,7 +131,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 	close(block) // unwedge the server; its late response must be discarded
 
 	var got []byte
-	err = m.Call(context.Background(), 2, blob("after"), func(_ byte, payload []byte) error {
+	err = m.Call(context.Background(), time.Time{}, 2, blob("after"), func(_ byte, payload []byte) error {
 		got = append(got[:0], payload...)
 		return nil
 	})
@@ -154,12 +154,12 @@ func TestMuxNotSentOnExpiredContext(t *testing.T) {
 	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = m.Call(ctx, 1, blob("never"), func(byte, []byte) error { return nil })
+	err = m.Call(ctx, time.Time{}, 1, blob("never"), func(byte, []byte) error { return nil })
 	if !IsNotSent(err) {
 		t.Fatalf("err=%v, want NotSentError", err)
 	}
 	// The connection must still work.
-	if err := m.Call(context.Background(), 1, blob("ok"), func(byte, []byte) error { return nil }); err != nil {
+	if err := m.Call(context.Background(), time.Time{}, 1, blob("ok"), func(byte, []byte) error { return nil }); err != nil {
 		t.Fatalf("call after not-sent: %v", err)
 	}
 }
@@ -193,7 +193,7 @@ func TestMuxConnectionDownFailsInflight(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		c.Close()
 	}()
-	err = m.Call(context.Background(), 1, blob("doomed"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("doomed"), func(byte, []byte) error { return nil })
 	var ce *ClosedError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err=%v, want ClosedError", err)
@@ -202,7 +202,7 @@ func TestMuxConnectionDownFailsInflight(t *testing.T) {
 		t.Fatal("a sent request must not report not-sent")
 	}
 	// Future calls fail fast the same way.
-	err = m.Call(context.Background(), 1, blob("late"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("late"), func(byte, []byte) error { return nil })
 	if !errors.As(err, &ce) {
 		t.Fatalf("post-close err=%v, want ClosedError", err)
 	}
@@ -238,7 +238,7 @@ func TestMuxCorruptStreamKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	err = m.Call(context.Background(), 1, blob("req"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("req"), func(byte, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt response must fail the call")
 	}
@@ -282,7 +282,7 @@ func TestServeConnBoundsInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.Call(context.Background(), 1, blob("x"), func(byte, []byte) error { return nil })
+			m.Call(context.Background(), time.Time{}, 1, blob("x"), func(byte, []byte) error { return nil })
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the pipeline fill

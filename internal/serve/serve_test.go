@@ -152,11 +152,11 @@ func TestFlightErrorSharedWithWaiters(t *testing.T) {
 
 func TestAdmissionFastPath(t *testing.T) {
 	a := NewAdmission(2, 1)
-	r1, err := a.Acquire(context.Background(), "c1")
+	r1, err := a.Acquire(context.Background(), time.Time{}, "c1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.Acquire(context.Background(), "c2")
+	r2, err := a.Acquire(context.Background(), time.Time{}, "c2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,14 @@ func TestAdmissionFastPath(t *testing.T) {
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	a := NewAdmission(1, 1)
-	release, err := a.Acquire(context.Background(), "hog")
+	release, err := a.Acquire(context.Background(), time.Time{}, "hog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One waiter fits in the hog's queue...
 	waiterDone := make(chan error, 1)
 	go func() {
-		r, err := a.Acquire(context.Background(), "hog")
+		r, err := a.Acquire(context.Background(), time.Time{}, "hog")
 		if err == nil {
 			r()
 		}
@@ -192,7 +192,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// ...the second is shed with the typed overload error.
-	if _, err := a.Acquire(context.Background(), "hog"); !errors.Is(err, ErrOverloaded) {
+	if _, err := a.Acquire(context.Background(), time.Time{}, "hog"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err=%v, want ErrOverloaded", err)
 	}
 	release()
@@ -210,7 +210,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 // within two turns, not after the flood drains.
 func TestAdmissionFairRoundRobin(t *testing.T) {
 	a := NewAdmission(1, 16)
-	hold, err := a.Acquire(context.Background(), "warm")
+	hold, err := a.Acquire(context.Background(), time.Time{}, "warm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAdmissionFairRoundRobin(t *testing.T) {
 	enqueue := func(client string, n int) {
 		for i := 0; i < n; i++ {
 			go func() {
-				r, err := a.Acquire(context.Background(), client)
+				r, err := a.Acquire(context.Background(), time.Time{}, client)
 				if err != nil {
 					t.Errorf("%s: %v", client, err)
 					return
@@ -244,7 +244,7 @@ func TestAdmissionFairRoundRobin(t *testing.T) {
 	// The single light client arrives last.
 	light := make(chan func(), 1)
 	go func() {
-		r, err := a.Acquire(context.Background(), "light")
+		r, err := a.Acquire(context.Background(), time.Time{}, "light")
 		if err != nil {
 			t.Errorf("light: %v", err)
 			return
@@ -290,14 +290,14 @@ func TestAdmissionFairRoundRobin(t *testing.T) {
 
 func TestAdmissionCancelWhileQueued(t *testing.T) {
 	a := NewAdmission(1, 4)
-	release, err := a.Acquire(context.Background(), "hog")
+	release, err := a.Acquire(context.Background(), time.Time{}, "hog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, "other")
+		_, err := a.Acquire(ctx, time.Time{}, "other")
 		errc <- err
 	}()
 	for {
@@ -313,9 +313,36 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	// The cancelled waiter must not leak its queue slot: a release must not
 	// grant to it, and the tier must stay usable.
 	release()
-	r, err := a.Acquire(context.Background(), "next")
+	r, err := a.Acquire(context.Background(), time.Time{}, "next")
 	if err != nil {
 		t.Fatalf("after cancelled waiter: %v", err)
+	}
+	r()
+	if got := a.Inflight(); got != 0 {
+		t.Fatalf("inflight=%d", got)
+	}
+}
+
+// TestAdmissionDeadlineWhileQueued: a queued request whose deadline value
+// passes gives up with context.DeadlineExceeded although its context has no
+// deadline, and leaves no queue entry behind.
+func TestAdmissionDeadlineWhileQueued(t *testing.T) {
+	a := NewAdmission(1, 4)
+	release, err := a.Acquire(context.Background(), time.Time{}, "hog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := a.Acquire(context.Background(), start.Add(30*time.Millisecond), "other"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d < 30*time.Millisecond || d > time.Second {
+		t.Fatalf("queued wait gave up after %v, want just past 30ms", d)
+	}
+	release()
+	r, err := a.Acquire(context.Background(), time.Time{}, "next")
+	if err != nil {
+		t.Fatalf("after expired waiter: %v", err)
 	}
 	r()
 	if got := a.Inflight(); got != 0 {

@@ -11,8 +11,9 @@ type flightCall[V any] struct {
 
 // Flight coalesces concurrent computations of the same key into a single
 // execution whose result fans out to every waiter — the scan-sharing
-// primitive: queries hitting the same (partition, predicate-class) while a
-// scan is running share that one kernel pass instead of re-reading the data.
+// primitive: identical scan batches (same partitions, same predicate class)
+// arriving while one runs share that execution instead of re-reading the
+// data.
 // Unlike a cache, a completed call's result is dropped immediately; only
 // temporally-overlapping callers share (the result cache layer above decides
 // what to keep).

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -43,9 +44,10 @@ func (t token) String() string {
 	}
 }
 
-// lex tokenises a WHERE clause. Keywords are case-insensitive.
-func lex(s string) ([]token, error) {
-	var out []token
+// lex tokenises a WHERE clause, appending the tokens to out. Keywords are
+// case-insensitive. Token texts are substrings of s, so lexing allocates
+// nothing once out has room.
+func lex(s string, out []token) ([]token, error) {
 	i := 0
 	for i < len(s) {
 		c := s[i]
@@ -59,12 +61,12 @@ func lex(s string) ([]token, error) {
 			out = append(out, token{kind: tokRParen, text: ")", pos: i})
 			i++
 		case c == '>' || c == '<' || c == '=':
-			op := string(c)
+			n := 1
 			if i+1 < len(s) && (s[i+1] == '=' || (c == '<' && s[i+1] == '>')) {
-				op += string(s[i+1])
+				n = 2
 			}
-			out = append(out, token{kind: tokOp, text: op, pos: i})
-			i += len(op)
+			out = append(out, token{kind: tokOp, text: s[i : i+n], pos: i})
+			i += n
 		case c == '-' || c == '.' || (c >= '0' && c <= '9'):
 			j := i + 1
 			for j < len(s) && (s[j] == '.' || s[j] == 'e' || s[j] == 'E' || s[j] == '-' || s[j] == '+' || (s[j] >= '0' && s[j] <= '9')) {
@@ -87,18 +89,24 @@ func lex(s string) ([]token, error) {
 				j++
 			}
 			word := s[i:j]
-			switch strings.ToUpper(word) {
-			case "AND":
-				out = append(out, token{kind: tokAnd, text: word, pos: i})
-			case "OR":
-				out = append(out, token{kind: tokOr, text: word, pos: i})
-			case "NOT":
-				out = append(out, token{kind: tokNot, text: word, pos: i})
-			case "BETWEEN":
-				out = append(out, token{kind: tokBetween, text: word, pos: i})
-			default:
-				out = append(out, token{kind: tokIdent, text: word, pos: i})
+			kind := tokIdent
+			switch len(word) {
+			case 2:
+				if strings.EqualFold(word, "OR") {
+					kind = tokOr
+				}
+			case 3:
+				if strings.EqualFold(word, "AND") {
+					kind = tokAnd
+				} else if strings.EqualFold(word, "NOT") {
+					kind = tokNot
+				}
+			case 7:
+				if strings.EqualFold(word, "BETWEEN") {
+					kind = tokBetween
+				}
 			}
+			out = append(out, token{kind: kind, text: word, pos: i})
 			i = j
 		default:
 			return nil, fmt.Errorf("sqlrew: unexpected character %q at position %d", c, i)
@@ -108,10 +116,17 @@ func lex(s string) ([]token, error) {
 	return out, nil
 }
 
+// isIdentStart and isIdentPart classify single bytes, read as Latin-1 runes.
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return r == '_' || ('a' <= r|0x20 && r|0x20 <= 'z')
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	if r < utf8.RuneSelf {
+		return r == '_' || ('a' <= r|0x20 && r|0x20 <= 'z') || ('0' <= r && r <= '9')
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }

@@ -1,46 +1,64 @@
 package sqlrew
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+)
 
-// The AST is deliberately small: boolean structure over atomic comparisons.
-type expr interface{ isExpr() }
-
-type orExpr struct{ terms []expr }
-type andExpr struct{ factors []expr }
-type notExpr struct{ inner expr }
-
-// pred is an atomic comparison col OP value, with OP one of
-// >=, <=, >, <, =, <>.
-type pred struct {
-	col string
-	op  string
-	val float64
-}
-
-func (orExpr) isExpr()  {}
-func (andExpr) isExpr() {}
-func (notExpr) isExpr() {}
-func (pred) isExpr()    {}
-
+// The parser evaluates the WHERE clause straight into disjunctive normal
+// form, with each conjunction already intersected into a box: there is no
+// AST. NOT is pushed down while parsing (De Morgan's laws and operator
+// negation, carried as the neg flag), so a negated OR is parsed as an AND of
+// negated terms and vice versa.
+//
+// Boxes live in one flat arena, d lows then d highs per box. Every parse
+// function leaves its result as the top boxes of the arena and returns how
+// many there are: an OR's terms are thereby already adjacent (concatenation
+// is free), and an AND's cross product is written above its two operands and
+// then moved down over them. A flat conjunction therefore intersects each
+// predicate into one box in place. Parsers are pooled per Rewriter, so the
+// token and arena buffers are reused across statements.
 type parser struct {
+	r    *Rewriter
 	toks []token
 	pos  int
+	d    int
+	// arena holds the boxes, 2*d floats each.
+	arena []float64
+	// semErr is the first semantic error in text order (unknown column,
+	// unsupported operator). It is reported only once the clause has parsed,
+	// so syntax errors take precedence.
+	semErr error
 }
 
-func parse(s string) (expr, error) {
-	toks, err := lex(s)
-	if err != nil {
-		return nil, err
+// parse lexes and parses where against r's schema into its DNF: n boxes, one
+// per satisfiable conjunction in DNF order, returned as a fresh slice of
+// 2*d floats per box.
+func (r *Rewriter) parse(where string) (boxes []float64, n int, err error) {
+	p, _ := r.parsers.Get().(*parser)
+	if p == nil {
+		p = &parser{r: r, d: r.dims}
 	}
-	p := &parser{toks: toks}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
+	defer func() {
+		clear(p.toks) // drop the references into where
+		p.toks, p.arena, p.pos, p.semErr = p.toks[:0], p.arena[:0], 0, nil
+		r.parsers.Put(p)
+	}()
+	if p.toks, err = lex(where, p.toks); err != nil {
+		return nil, 0, err
+	}
+	if n, err = p.parseOr(false); err != nil {
+		return nil, 0, err
 	}
 	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("sqlrew: unexpected %s at position %d", p.peek(), p.peek().pos)
+		return nil, 0, fmt.Errorf("sqlrew: unexpected %s at position %d", p.peek(), p.peek().pos)
 	}
-	return e, nil
+	if p.semErr != nil {
+		return nil, 0, p.semErr
+	}
+	return append([]float64(nil), p.arena...), n, nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -53,73 +71,75 @@ func (p *parser) expect(kind tokenKind, what string) (token, error) {
 	return p.next(), nil
 }
 
-func (p *parser) parseOr() (expr, error) {
-	first, err := p.parseAnd()
+// parseOr parses term {OR term}. Un-negated, the terms' DNFs concatenate;
+// negated (NOT (a OR b) = NOT a AND NOT b) they cross-multiply.
+func (p *parser) parseOr(neg bool) (int, error) {
+	n, err := p.parseAnd(neg)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	terms := []expr{first}
 	for p.peek().kind == tokOr {
 		p.next()
-		t, err := p.parseAnd()
+		m, err := p.parseAnd(neg)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		terms = append(terms, t)
+		n = p.combine(n, m, neg)
 	}
-	if len(terms) == 1 {
-		return first, nil
-	}
-	return orExpr{terms: terms}, nil
+	return n, nil
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	first, err := p.parseUnary()
+// parseAnd parses factor {AND factor}. Un-negated, the factors' DNFs
+// cross-multiply; negated (NOT (a AND b) = NOT a OR NOT b) they concatenate.
+func (p *parser) parseAnd(neg bool) (int, error) {
+	n, err := p.parseUnary(neg)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	factors := []expr{first}
 	for p.peek().kind == tokAnd {
 		p.next()
-		f, err := p.parseUnary()
+		m, err := p.parseUnary(neg)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		factors = append(factors, f)
+		n = p.combine(n, m, !neg)
 	}
-	if len(factors) == 1 {
-		return first, nil
-	}
-	return andExpr{factors: factors}, nil
+	return n, nil
 }
 
-func (p *parser) parseUnary() (expr, error) {
+// combine joins the top two DNFs of the arena (n boxes, then m boxes):
+// their product when and is set, their concatenation otherwise.
+func (p *parser) combine(n, m int, and bool) int {
+	if !and {
+		return n + m
+	}
+	return p.product(n, m)
+}
+
+func (p *parser) parseUnary(neg bool) (int, error) {
 	switch p.peek().kind {
 	case tokNot:
 		p.next()
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return notExpr{inner: inner}, nil
+		return p.parseUnary(!neg)
 	case tokLParen:
 		p.next()
-		e, err := p.parseOr()
+		n, err := p.parseOr(neg)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return nil, err
+			return 0, err
 		}
-		return e, nil
+		return n, nil
 	default:
-		return p.parsePredicate()
+		return p.parsePredicate(neg)
 	}
 }
 
 // parsePredicate accepts `col OP number`, `number OP col`, and
-// `col BETWEEN a AND b`.
-func (p *parser) parsePredicate() (expr, error) {
+// `col BETWEEN a AND b`, and pushes the boxes of the (possibly negated)
+// predicate.
+func (p *parser) parsePredicate(neg bool) (int, error) {
 	switch p.peek().kind {
 	case tokIdent:
 		col := p.next().text
@@ -128,42 +148,41 @@ func (p *parser) parsePredicate() (expr, error) {
 			p.next()
 			lo, err := p.expect(tokNumber, "number")
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if _, err := p.expect(tokAnd, "AND"); err != nil {
-				return nil, err
+				return 0, err
 			}
 			hi, err := p.expect(tokNumber, "number")
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			return andExpr{factors: []expr{
-				pred{col: col, op: ">=", val: lo.num},
-				pred{col: col, op: "<=", val: hi.num},
-			}}, nil
+			// col >= lo AND col <= hi.
+			n := p.pushPred(col, ">=", lo.num, neg)
+			return p.combine(n, p.pushPred(col, "<=", hi.num, neg), !neg), nil
 		case tokOp:
 			op := p.next().text
 			v, err := p.expect(tokNumber, "number")
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			return pred{col: col, op: op, val: v.num}, nil
+			return p.pushPred(col, op, v.num, neg), nil
 		default:
-			return nil, fmt.Errorf("sqlrew: expected comparison after column %q at position %d", col, p.peek().pos)
+			return 0, fmt.Errorf("sqlrew: expected comparison after column %q at position %d", col, p.peek().pos)
 		}
 	case tokNumber:
 		v := p.next()
 		op, err := p.expect(tokOp, "comparison operator")
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		colTok, err := p.expect(tokIdent, "column name")
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return pred{col: colTok.text, op: flipOp(op.text), val: v.num}, nil
+		return p.pushPred(colTok.text, flipOp(op.text), v.num, neg), nil
 	default:
-		return nil, fmt.Errorf("sqlrew: expected predicate, found %s at position %d", p.peek(), p.peek().pos)
+		return 0, fmt.Errorf("sqlrew: expected predicate, found %s at position %d", p.peek(), p.peek().pos)
 	}
 }
 
@@ -183,95 +202,134 @@ func flipOp(op string) string {
 	}
 }
 
-// pushNot eliminates NOT nodes by De Morgan's laws and operator negation.
-func pushNot(e expr, negated bool) expr {
-	switch v := e.(type) {
-	case notExpr:
-		return pushNot(v.inner, !negated)
-	case andExpr:
-		out := make([]expr, len(v.factors))
-		for i, f := range v.factors {
-			out[i] = pushNot(f, negated)
-		}
-		if negated {
-			return orExpr{terms: out}
-		}
-		return andExpr{factors: out}
-	case orExpr:
-		out := make([]expr, len(v.terms))
-		for i, t := range v.terms {
-			out[i] = pushNot(t, negated)
-		}
-		if negated {
-			return andExpr{factors: out}
-		}
-		return orExpr{terms: out}
-	case pred:
-		if !negated {
-			return v
-		}
-		return negatePred(v)
-	default:
-		panic(fmt.Sprintf("sqlrew: unknown expr %T", e))
-	}
-}
-
-func negatePred(p pred) expr {
-	switch p.op {
+// negateOp returns the operator of NOT (col op v).
+func negateOp(op string) string {
+	switch op {
 	case ">=":
-		return pred{col: p.col, op: "<", val: p.val}
+		return "<"
 	case "<=":
-		return pred{col: p.col, op: ">", val: p.val}
+		return ">"
 	case ">":
-		return pred{col: p.col, op: "<=", val: p.val}
+		return "<="
 	case "<":
-		return pred{col: p.col, op: ">=", val: p.val}
+		return ">="
 	case "=":
-		return pred{col: p.col, op: "<>", val: p.val}
+		return "<>"
 	case "<>":
-		return pred{col: p.col, op: "=", val: p.val}
+		return "="
 	default:
-		panic(fmt.Sprintf("sqlrew: unknown operator %q", p.op))
+		return op
 	}
 }
 
-// toDNF converts a NOT-free expression into a disjunction of conjunctions of
-// atomic predicates. Inequality (<>) predicates are expanded into two
-// disjuncts first.
-func toDNF(e expr) [][]pred {
-	switch v := e.(type) {
-	case pred:
-		if v.op == "<>" {
-			return [][]pred{
-				{{col: v.col, op: "<", val: v.val}},
-				{{col: v.col, op: ">", val: v.val}},
-			}
-		}
-		return [][]pred{{v}}
-	case orExpr:
-		var out [][]pred
-		for _, t := range v.terms {
-			out = append(out, toDNF(t)...)
-		}
-		return out
-	case andExpr:
-		// Cross-product of the factors' DNFs.
-		out := [][]pred{{}}
-		for _, f := range v.factors {
-			fd := toDNF(f)
-			var next [][]pred
-			for _, conj := range out {
-				for _, fc := range fd {
-					merged := make([]pred, 0, len(conj)+len(fc))
-					merged = append(merged, conj...)
-					merged = append(merged, fc...)
-					next = append(next, merged)
-				}
-			}
-			out = next
-		}
-		return out
-	default:
-		panic(fmt.Sprintf("sqlrew: NOT should have been eliminated, found %T", e))
+// pushPred pushes the boxes of `col op v` (negated: of NOT (col op v)) and
+// returns their count: one box, or two for <> (below v, then above it).
+// Strict bounds step to the adjacent float. A predicate on an unknown column
+// or with an unsupported operator records the semantic error and pushes the
+// universe box, so parsing can go on to find any syntax error first.
+func (p *parser) pushPred(col, op string, v float64, neg bool) int {
+	if neg {
+		op = negateOp(op)
 	}
+	dim, ok := p.r.cols[strings.ToLower(col)] // no copy when col is lower-case ASCII
+	if !ok {
+		p.fail(fmt.Errorf("sqlrew: unknown column %q", col))
+		p.pushUniverse()
+		return 1
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	switch op {
+	case ">=":
+		lo = v
+	case ">":
+		lo = math.Nextafter(v, math.Inf(1))
+	case "<=":
+		hi = v
+	case "<":
+		hi = math.Nextafter(v, math.Inf(-1))
+	case "=":
+		lo, hi = v, v
+	case "<>":
+		p.pushUniverse()
+		p.arena[len(p.arena)-p.d+dim] = math.Nextafter(v, math.Inf(-1))
+		p.pushUniverse()
+		p.arena[len(p.arena)-2*p.d+dim] = math.Nextafter(v, math.Inf(1))
+		return 2
+	default:
+		p.fail(fmt.Errorf("sqlrew: unsupported operator %q", op))
+		p.pushUniverse()
+		return 1
+	}
+	p.pushUniverse()
+	p.arena[len(p.arena)-2*p.d+dim] = lo
+	p.arena[len(p.arena)-p.d+dim] = hi
+	return 1
+}
+
+func (p *parser) fail(err error) {
+	if p.semErr == nil {
+		p.semErr = err
+	}
+}
+
+// pushUniverse pushes the unbounded box.
+func (p *parser) pushUniverse() {
+	for i := 0; i < p.d; i++ {
+		p.arena = append(p.arena, math.Inf(-1))
+	}
+	for i := 0; i < p.d; i++ {
+		p.arena = append(p.arena, math.Inf(1))
+	}
+}
+
+// product replaces the top two DNFs of the arena (a: n boxes, then b: m
+// boxes) with their cross product in DNF order — for each box of a, its
+// intersection with each box of b — dropping empty intersections. It
+// returns the product's box count.
+func (p *parser) product(n, m int) int {
+	w := 2 * p.d
+	top := len(p.arena)
+	aOff, bOff := top-(n+m)*w, top-m*w
+	if n == 1 && m == 1 {
+		// The common case, a conjunction growing by one predicate: intersect
+		// in place.
+		a, b := p.arena[aOff:bOff], p.arena[bOff:top]
+		p.arena = p.arena[:bOff]
+		if !intersect(a, a, b, p.d) {
+			p.arena = p.arena[:aOff]
+			return 0
+		}
+		return 1
+	}
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			p.arena = slices.Grow(p.arena, w)[:len(p.arena)+w]
+			a := p.arena[aOff+i*w : aOff+(i+1)*w]
+			b := p.arena[bOff+j*w : bOff+(j+1)*w]
+			dst := p.arena[len(p.arena)-w:]
+			if intersect(dst, a, b, p.d) {
+				k++
+			} else {
+				p.arena = p.arena[:len(p.arena)-w]
+			}
+		}
+	}
+	p.arena = append(p.arena[:aOff], p.arena[top:]...)
+	return k
+}
+
+// intersect writes a ∩ b into dst (which may alias a) and reports whether
+// the intersection is non-empty. Boxes are d lows then d highs.
+func intersect(dst, a, b []float64, d int) bool {
+	ok := true
+	for i := 0; i < d; i++ {
+		lo := math.Max(a[i], b[i])
+		hi := math.Min(a[d+i], b[d+i])
+		dst[i], dst[d+i] = lo, hi
+		if lo > hi {
+			ok = false
+		}
+	}
+	return ok
 }

@@ -2,8 +2,8 @@ package sqlrew
 
 import (
 	"fmt"
-	"math"
 	"strings"
+	"sync"
 
 	"paw/internal/geom"
 )
@@ -11,8 +11,9 @@ import (
 // Rewriter converts WHERE clauses over a fixed numeric schema into range
 // queries (Fig. 4, step 1).
 type Rewriter struct {
-	cols map[string]int
-	dims int
+	cols    map[string]int
+	dims    int
+	parsers sync.Pool // *parser, reused across calls
 }
 
 // New builds a rewriter for the given column names; the i-th name maps to
@@ -41,71 +42,53 @@ func (r *Rewriter) Rewrite(where string) ([]geom.Box, error) {
 	if strings.TrimSpace(where) == "" {
 		return []geom.Box{geom.UniverseBox(r.dims)}, nil
 	}
-	ast, err := parse(where)
-	if err != nil {
+	flat, n, err := r.parse(where)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	dnf := toDNF(pushNot(ast, false))
-	var raw []geom.Box
-	for _, conj := range dnf {
-		box, ok, err := r.conjToBox(conj)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			raw = append(raw, box)
-		}
+	raw := make([]geom.Box, n)
+	for i := range raw {
+		b := flat[2*r.dims*i : 2*r.dims*(i+1)]
+		raw[i] = geom.Box{Lo: b[:r.dims:r.dims], Hi: b[r.dims:]}
+	}
+	if n <= 1 {
+		return raw, nil
 	}
 	// Disjointify: each disjunct minus the union of its predecessors.
-	var out []geom.Box
-	for i, b := range raw {
-		pieces := geom.SubtractAll(b, raw[:i])
-		out = append(out, pieces...)
+	out := raw[:1:1]
+	for i := 1; i < n; i++ {
+		out = append(out, geom.SubtractAll(raw[i], raw[:i])...)
 	}
 	return out, nil
 }
 
 // RewriteSQL accepts a full "SELECT ... FROM ... [WHERE ...]" statement and
-// rewrites its WHERE clause (everything after the last top-level WHERE
-// keyword). Statements without WHERE scan everything.
+// rewrites its WHERE clause (everything after the last WHERE keyword, matched
+// case-insensitively). Statements without WHERE scan everything.
 func (r *Rewriter) RewriteSQL(stmt string) ([]geom.Box, error) {
-	upper := strings.ToUpper(stmt)
-	idx := strings.LastIndex(upper, "WHERE")
+	idx := lastIndexWhere(stmt)
 	if idx < 0 {
 		return []geom.Box{geom.UniverseBox(r.dims)}, nil
 	}
 	return r.Rewrite(stmt[idx+len("WHERE"):])
 }
 
-// conjToBox intersects a conjunction of predicates into a single box; ok is
-// false when the conjunction is unsatisfiable.
-func (r *Rewriter) conjToBox(conj []pred) (geom.Box, bool, error) {
-	box := geom.UniverseBox(r.dims)
-	for _, p := range conj {
-		dim, ok := r.cols[strings.ToLower(p.col)]
-		if !ok {
-			return geom.Box{}, false, fmt.Errorf("sqlrew: unknown column %q", p.col)
+// lastIndexWhere returns the byte offset of the last ASCII-case-insensitive
+// occurrence of "WHERE" in s, or -1. It searches s itself, so the offset is
+// valid in s even when case mapping would change byte lengths elsewhere in
+// the statement (ſ and ı upper-case to one-byte letters).
+func lastIndexWhere(s string) int {
+	const kw = "where"
+	for i := len(s) - len(kw); i >= 0; i-- {
+		j := 0
+		for j < len(kw) && s[i+j]|0x20 == kw[j] {
+			j++
 		}
-		switch p.op {
-		case ">=":
-			box.Lo[dim] = math.Max(box.Lo[dim], p.val)
-		case ">":
-			box.Lo[dim] = math.Max(box.Lo[dim], math.Nextafter(p.val, math.Inf(1)))
-		case "<=":
-			box.Hi[dim] = math.Min(box.Hi[dim], p.val)
-		case "<":
-			box.Hi[dim] = math.Min(box.Hi[dim], math.Nextafter(p.val, math.Inf(-1)))
-		case "=":
-			box.Lo[dim] = math.Max(box.Lo[dim], p.val)
-			box.Hi[dim] = math.Min(box.Hi[dim], p.val)
-		default:
-			return geom.Box{}, false, fmt.Errorf("sqlrew: operator %q must not reach box conversion", p.op)
+		if j == len(kw) {
+			return i
 		}
 	}
-	if box.IsEmpty() {
-		return geom.Box{}, false, nil
-	}
-	return box, true, nil
+	return -1
 }
 
 // Dims returns the schema dimensionality.

@@ -18,7 +18,7 @@ func mustNew(t *testing.T, cols ...string) *Rewriter {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := lex("A >= 10 AND b_2 <= 5.5e2 OR (C < -3)")
+	toks, err := lex("A >= 10 AND b_2 <= 5.5e2 OR (C < -3)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,10 @@ func TestLexerBasics(t *testing.T) {
 }
 
 func TestLexerErrors(t *testing.T) {
-	if _, err := lex("A >= #"); err == nil {
+	if _, err := lex("A >= #", nil); err == nil {
 		t.Error("bad character must error")
 	}
-	if _, err := lex("A >= 1.2.3"); err == nil {
+	if _, err := lex("A >= 1.2.3", nil); err == nil {
 		t.Error("bad number must error")
 	}
 }

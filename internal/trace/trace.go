@@ -162,7 +162,7 @@ type Span struct {
 	// durations are comparable across hosts).
 	Start int64
 	// Dur is the span's duration in nanoseconds (0 until ended).
-	Dur int64
+	Dur   int64
 	Attrs []Attr
 }
 
@@ -295,8 +295,8 @@ type Finished struct {
 	// Root is the root span's name.
 	Root string `json:"root"`
 	// Start/DurNs mirror the root span.
-	Start int64 `json:"start_unix_ns"`
-	DurNs int64 `json:"dur_ns"`
+	Start int64  `json:"start_unix_ns"`
+	DurNs int64  `json:"dur_ns"`
 	Spans []Span `json:"spans"`
 }
 
