@@ -12,8 +12,10 @@ import (
 
 // fuzzDataset builds a dataset whose columns deliberately span every
 // physical encoding: per column, style bits of the seed select constant
-// (RLE/FOR degenerate), low-cardinality discrete (dict), sorted discrete
-// (RLE), integral ramp (FOR) or continuous uniform (raw) data.
+// (RLE/FOR degenerate), low-cardinality discrete (8-bit dict codes), sorted
+// discrete (RLE), integral ramp (FOR), mid-cardinality fractions (16-bit
+// dict codes once a group holds more than 256 of them) or continuous
+// uniform (raw) data.
 func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, dims)
@@ -21,7 +23,7 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	for d := 0; d < dims; d++ {
 		names[d] = string(rune('a' + d))
 		col := make([]float64, rows)
-		switch style := (seed >> uint(3*d)) & 7 % 5; style {
+		switch style := (seed >> uint(3*d)) & 7 % 6; style {
 		case 0: // constant
 			v := rng.Float64() * 100
 			for i := range col {
@@ -49,6 +51,15 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 			for i := range col {
 				col[i] = base + float64(rng.Intn(1<<16))
 			}
+		case 4: // mid-cardinality fractions
+			card := 300 + rng.Intn(700)
+			vals := make([]float64, card)
+			for i := range vals {
+				vals[i] = rng.Float64() * 100
+			}
+			for i := range col {
+				col[i] = vals[rng.Intn(card)]
+			}
 		default: // continuous
 			for i := range col {
 				col[i] = rng.NormFloat64() * 10
@@ -60,13 +71,20 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 }
 
 // fuzzQuery derives one query box from the rng: mostly partial-domain
-// ranges, sometimes empty, full-domain or degenerate (point) boxes.
-func fuzzQuery(rng *rand.Rand, dom geom.Box) geom.Box {
+// ranges, sometimes empty, full-domain or degenerate (point) boxes, plus the
+// boundaries the encoded comparisons can get wrong — an unbounded (±Inf)
+// side, bounds placed exactly on stored values (a dictionary entry, a FOR
+// base+delta, a run value) and a bound strictly between two adjacent
+// stored values.
+func fuzzQuery(rng *rand.Rand, data *dataset.Dataset) geom.Box {
+	dom := data.Domain()
 	dims := len(dom.Lo)
 	q := geom.Box{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+	inf := math.Inf(1)
 	for d := 0; d < dims; d++ {
 		span := dom.Hi[d] - dom.Lo[d]
-		switch rng.Intn(6) {
+		stored := func() float64 { return data.At(rng.Intn(data.NumRows()), d) }
+		switch rng.Intn(10) {
 		case 0: // full on this dim
 			q.Lo[d], q.Hi[d] = dom.Lo[d], dom.Hi[d]
 		case 1: // empty on this dim
@@ -74,6 +92,36 @@ func fuzzQuery(rng *rand.Rand, dom geom.Box) geom.Box {
 		case 2: // degenerate point
 			v := dom.Lo[d] + rng.Float64()*span
 			q.Lo[d], q.Hi[d] = v, v
+		case 3: // unbounded below, up to a stored value
+			q.Lo[d], q.Hi[d] = -inf, stored()
+		case 4: // from a stored value, unbounded above
+			q.Lo[d], q.Hi[d] = stored(), inf
+		case 5: // both bounds on stored values
+			a, b := stored(), stored()
+			if a > b {
+				a, b = b, a
+			}
+			q.Lo[d], q.Hi[d] = a, b
+		case 6: // point on a stored value
+			v := stored()
+			q.Lo[d], q.Hi[d] = v, v
+		case 7: // lower bound strictly between two adjacent stored values
+			v := stored()
+			next := inf
+			for r := 0; r < data.NumRows(); r++ {
+				if w := data.At(r, d); w > v && w < next {
+					next = w
+				}
+			}
+			lo := v + 0.5
+			if next < inf {
+				lo = v + (next-v)/2
+			}
+			if rng.Intn(2) == 0 {
+				q.Lo[d], q.Hi[d] = lo, inf
+			} else {
+				q.Lo[d], q.Hi[d] = -inf, lo // upper bound between them
+			}
 		default:
 			a := dom.Lo[d] + rng.Float64()*span
 			b := dom.Lo[d] + rng.Float64()*span
@@ -102,12 +150,11 @@ func FuzzScanDifferential(f *testing.F) {
 		groupRows := 1 + int(groupRaw)%1024
 		data := fuzzDataset(seed, rows, dims)
 		tab := FromDataset(data, nil, groupRows)
-		dom := data.Domain()
 
 		rng := rand.New(rand.NewSource(qseed))
 		queries := make([]geom.Box, 4)
 		for i := range queries {
-			queries[i] = fuzzQuery(rng, dom)
+			queries[i] = fuzzQuery(rng, data)
 		}
 
 		sc := NewScanner()
