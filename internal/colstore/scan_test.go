@@ -122,3 +122,41 @@ func TestEncodingCountsAndCompression(t *testing.T) {
 		t.Errorf("encoded %d bytes >= raw %d", tab.EncodedBytes(), raw)
 	}
 }
+
+// TestScanChargesCoveredRLEPerRunTouched: materializing a covered RLE column
+// decodes one (value, length) pair per run the survivors touch, so Scan pays
+// 12 bytes per run — not 8 bytes per surviving row, which overcharged until
+// the clamp to the group's encoded size hid it.
+func TestScanChargesCoveredRLEPerRunTouched(t *testing.T) {
+	const n = 4096
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i] = float64(i / 1024)       // 4 runs: RLE
+		cols[1][i] = float64(i%97)/97 + 0.01 // 97 distinct fractions: 8-bit dict
+	}
+	data := dataset.MustNew([]string{"run", "dict"}, cols)
+	tab := FromDataset(data, nil, n)
+	if got := encodingCensus(tab); got["rle"] != 1 || got["dict8"] != 1 {
+		t.Fatalf("want one RLE and one 8-bit dict chunk, got %v", got)
+	}
+	const rlePayload, dictPayload = 4 + 4*12, 4 + 97*8 + n
+	if enc := tab.EncodedBytes(); enc != rlePayload+dictPayload {
+		t.Fatalf("encoded %d bytes, want %d", enc, rlePayload+dictPayload)
+	}
+
+	// The run column is covered; the dict predicate keeps rows in every run.
+	q := geom.Box{Lo: geom.Point{0, 0.2}, Hi: geom.Point{3, 0.5}}
+	sc := NewScanner()
+	cst := sc.Count(tab, q)
+	if cst.BytesRead != dictPayload {
+		t.Fatalf("Count read %d bytes, want the dict payload %d", cst.BytesRead, dictPayload)
+	}
+	_, sst := sc.Scan(tab, q)
+	if sst.Matched != cst.Matched || sst.Matched == 0 {
+		t.Fatalf("Scan matched %d, Count %d", sst.Matched, cst.Matched)
+	}
+	if want := int64(dictPayload + 4*12); sst.BytesRead != want {
+		t.Fatalf("Scan read %d bytes for %d rows, want %d (dict payload + 4 runs × 12)",
+			sst.BytesRead, sst.Matched, want)
+	}
+}
