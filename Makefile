@@ -52,7 +52,9 @@ chaos:
 # (builders must satisfy the oracles on fuzzed scenarios), the δ-estimation
 # differential (bottleneck matching vs. brute force), the routing/codec
 # differentials in internal/layout, the scan-kernel differential (vectorized
-# kernels vs naive scan across every encoding, v1+v2 codecs), and the drift
+# kernels vs naive scan across every encoding, v1+v2 codecs), the
+# materialisation differential (Z-ordered partition tables vs routing and
+# the dataset: rows conserved, counts exact), and the drift
 # differential (fuzzed query streams against a live cluster with the drift
 # controller attached — every answer must match the static-layout oracle,
 # before, during and after any migration), and the membership differential
@@ -64,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/workload -run FuzzMinimalDelta -fuzz FuzzMinimalDelta -fuzztime 30s
 	$(GO) test ./internal/layout -run FuzzRoutingDifferential -fuzz FuzzRoutingDifferential -fuzztime 30s
 	$(GO) test ./internal/colstore -run FuzzScanDifferential -fuzz FuzzScanDifferential -fuzztime 30s
+	$(GO) test ./internal/blockstore -run FuzzMaterializeDifferential -fuzz FuzzMaterializeDifferential -fuzztime 30s
 	$(GO) test ./internal/drift -run FuzzDriftDifferential -fuzz FuzzDriftDifferential -fuzztime 30s
 	$(GO) test ./internal/dist -run FuzzMembershipDifferential -fuzz FuzzMembershipDifferential -fuzztime 30s
 

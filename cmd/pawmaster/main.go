@@ -46,7 +46,7 @@ import (
 	"strings"
 	"time"
 
-	"paw/internal/colstore"
+	"paw/internal/blockstore"
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
@@ -269,23 +269,7 @@ func main() {
 		// The master holds the full dataset, so it can re-encode any
 		// partition's payload itself — the rebalance fallback when no live
 		// worker still holds a copy.
-		all := make([]int, data.NumRows())
-		for i := range all {
-			all[i] = i
-		}
-		byPart := l.RouteIndices(data, all)
-		src := func(id layout.ID) ([]byte, int64, error) {
-			rows, ok := byPart[id]
-			if !ok {
-				return nil, 0, fmt.Errorf("partition %d routes no rows", id)
-			}
-			tab := colstore.FromDataset(data, rows, colstore.DefaultGroupRows)
-			var buf bytes.Buffer
-			if err := tab.Encode(&buf); err != nil {
-				return nil, 0, err
-			}
-			return buf.Bytes(), int64(len(rows)), nil
-		}
+		src := payloadSource(l, data)
 		err := m.EnableMembership(dist.MembershipConfig{
 			Detector:          membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 			TickEvery:         *memberTick,
@@ -314,6 +298,26 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	m.Close()
+}
+
+// payloadSource routes the dataset through the layout once and returns the
+// rebalance payload source: a partition's rows encoded as the same table the
+// workers' block store holds (blockstore.PartitionTable).
+func payloadSource(l *layout.Layout, data *dataset.Dataset) func(layout.ID) ([]byte, int64, error) {
+	rt := l.Assign(data, 0)
+	rows, bounds := rt.Buckets()
+	return func(id layout.ID) ([]byte, int64, error) {
+		if id < 0 || int(id) >= len(l.Parts) || bounds[id] == bounds[id+1] {
+			return nil, 0, fmt.Errorf("partition %d routes no rows", id)
+		}
+		part := rows[bounds[id]:bounds[id+1]]
+		tab := blockstore.PartitionTable(data, part, blockstore.Config{})
+		var buf bytes.Buffer
+		if err := tab.Encode(&buf); err != nil {
+			return nil, 0, err
+		}
+		return buf.Bytes(), int64(len(part)), nil
+	}
 }
 
 func transportFlag(gob bool) dist.Transport {

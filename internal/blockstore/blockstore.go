@@ -8,7 +8,6 @@ package blockstore
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"paw/internal/colstore"
@@ -68,39 +67,43 @@ type Store struct {
 
 	// BytesWritten is the total payload written at materialisation.
 	BytesWritten int64
-	// RoutingTime is the measured wall-clock time spent routing records.
+	// RoutingTime is the measured wall-clock time spent routing records
+	// and bucketing them by partition; building the tables is excluded.
 	RoutingTime time.Duration
 	// SimWriteTime is the simulated disk time for writing the partitions.
 	SimWriteTime time.Duration
 }
 
 // Materialize routes the full dataset through the layout and writes every
-// partition as a columnar table. The layout must already be sealed; Route is
-// (re)run here so partition sizes reflect the dataset.
+// partition as a columnar table whose rows are in Z-order (PartitionTable).
+// The layout must already be sealed; it is routed here so partition sizes
+// reflect the dataset. Routing and the per-partition builds run on a pool
+// of GOMAXPROCS workers; the stored tables are the same at any width.
 func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
+	return materialize(l, data, cfg, parbuild.New(0))
+}
+
+// materialize is Materialize on the given pool.
+func materialize(l *layout.Layout, data *dataset.Dataset, cfg Config, pool *parbuild.Pool) *Store {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	rows := make([]int, data.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	l.RouteParallel(data, runtime.NumCPU())
-	byPart := l.RouteIndices(data, rows)
+	rt := l.RouteParallel(data, pool.Workers())
+	rows, bounds := rt.Buckets()
 	routing := time.Since(start)
 
+	tabs := make([]*colstore.Table, len(l.Parts))
+	builders := make([]tableBuilder, pool.Slots())
+	pool.Fan(pool.RootSlot(), len(l.Parts), func(id, slot int) {
+		tabs[id] = builders[slot].build(data, rows[bounds[id]:bounds[id+1]], cfg)
+	})
+
 	s := &Store{cfg: cfg, parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: routing}
-	for _, p := range l.Parts {
-		tab := colstore.FromDataset(data, byPart[p.ID], cfg.GroupRows)
-		if len(cfg.ZoneQueries) > 0 {
-			if err := tab.SetZoneMaps(cfg.ZoneQueries, zoneMapBits(data, byPart[p.ID], tab, cfg.ZoneQueries)); err != nil {
-				panic(err) // impossible: bits are built from this table's groups
-			}
-		}
+	for id, tab := range tabs {
 		blocks := int((tab.Bytes() + cfg.BlockBytes - 1) / cfg.BlockBytes)
 		if blocks == 0 {
 			blocks = 1
 		}
-		s.parts[p.ID] = &StoredPartition{ID: p.ID, Table: tab, Blocks: blocks}
+		s.parts[layout.ID(id)] = &StoredPartition{ID: layout.ID(id), Table: tab, Blocks: blocks}
 		s.BytesWritten += tab.Bytes()
 	}
 	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (cfg.WriteMBps * 1e6) * float64(time.Second))
@@ -110,8 +113,7 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 // zoneMapBits computes per-row-group feature-vector incidence bits for a
 // partition table directly from the source rows: one maxskip.RowVector per
 // row, unioned across the rows of each group. rows lists the partition's
-// source row indices in table order (nil meaning the whole dataset, matching
-// colstore.FromDataset).
+// source row indices in table order.
 func zoneMapBits(data *dataset.Dataset, rows []int, tab *colstore.Table, queries []geom.Box) [][]uint64 {
 	words := (len(queries) + 63) / 64
 	bits := make([][]uint64, tab.NumGroups())
@@ -121,11 +123,7 @@ func zoneMapBits(data *dataset.Dataset, rows []int, tab *colstore.Table, queries
 		g := make([]uint64, words)
 		n := tab.GroupRows(gi)
 		for i := 0; i < n; i++ {
-			r := next + i
-			if rows != nil {
-				r = rows[next+i]
-			}
-			maxskip.RowVector(data, r, queries, vec)
+			maxskip.RowVector(data, rows[next+i], queries, vec)
 			for w := 0; w < words; w++ {
 				g[w] |= vec[w]
 			}

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"paw/internal/dataset"
@@ -148,5 +149,27 @@ func TestFromDatasetSubset(t *testing.T) {
 	_, st := tab.Scan(data.Domain())
 	if st.Matched != 4 {
 		t.Errorf("matched %d", st.Matched)
+	}
+}
+
+// TestNaNRoundTrips: a chunk holding NaN among few distinct values would
+// be cheapest as a dictionary, but NaN has no place in the code search, so
+// the chunk must take another encoding and decode every value bit-exactly.
+func TestNaNRoundTrips(t *testing.T) {
+	vals := make([]float64, 200)
+	for i := range vals {
+		vals[i] = float64(i%3) + 0.5
+		if i%7 == 0 {
+			vals[i] = math.NaN()
+		}
+	}
+	tab := FromDataset(dataset.MustNew([]string{"x"}, [][]float64{vals}), nil, len(vals))
+	if got := tab.EncodingCounts(); got["dict"] != 0 {
+		t.Fatalf("NaN chunk dictionary-encoded: %v", got)
+	}
+	for i, p := range tab.GroupPoints(0) {
+		if math.Float64bits(p[0]) != math.Float64bits(vals[i]) {
+			t.Fatalf("row %d decodes as %v, stored %v", i, p[0], vals[i])
+		}
 	}
 }

@@ -170,9 +170,12 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 		forBitsN = uint8(bits.Len64(maxDelta))
 	}
 
-	// Dictionary probe: sorted distinct values.
+	// Dictionary probe: sorted distinct values. sort.Float64s orders NaN
+	// first; a NaN has no place in the code search, so a chunk holding one
+	// is never dictionary-encoded.
 	sortScratch = append(sortScratch[:0], vals...)
 	sort.Float64s(sortScratch)
+	dictOK := !math.IsNaN(sortScratch[0])
 	card := 1
 	for i := 1; i < n; i++ {
 		if sortScratch[i] != sortScratch[i-1] {
@@ -188,7 +191,7 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 	if rleB := int64(4 + runs*12); rleB < bestB {
 		best, bestB = colRLE, rleB
 	}
-	if card <= dictMaxCard {
+	if dictOK && card <= dictMaxCard {
 		w := int64(2)
 		if card <= 256 {
 			w = 1
@@ -527,8 +530,9 @@ func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
 
 // gather materializes value(sel[k]) into dst[k*stride+off] for every k and
 // returns the encoded bytes it decoded: RLE pays per run touched (12 bytes
-// each), the other encodings per value. sel must be ascending (selection
-// vectors always are).
+// each), the other encodings per value plus the metadata filterAll reads —
+// the dictionary for dict columns, the 9-byte base and width header for FOR
+// columns. sel must be ascending (selection vectors always are).
 func (c *column) gather(sel []int32, dst []float64, stride, off int) int64 {
 	switch c.kind {
 	case colDict:
@@ -541,6 +545,7 @@ func (c *column) gather(sel []int32, dst []float64, stride, off int) int64 {
 				dst[k*stride+off] = c.dict[c.codes16[i]]
 			}
 		}
+		return 4 + int64(len(c.dict))*8 + c.valueBytes(len(sel))
 	case colRLE:
 		if len(sel) == 0 {
 			return 0
@@ -564,11 +569,12 @@ func (c *column) gather(sel []int32, dst []float64, stride, off int) int64 {
 			for k := range sel {
 				dst[k*stride+off] = c.base
 			}
-			return 0
+			return 9
 		}
 		for k, i := range sel {
 			dst[k*stride+off] = c.base + float64(forAt(c.packed, int(i), c.forBits))
 		}
+		return 9 + c.valueBytes(len(sel))
 	default:
 		for k, i := range sel {
 			dst[k*stride+off] = c.raw[i]

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"paw/internal/blockstore"
-	"paw/internal/colstore"
 	"paw/internal/dataset"
 	"paw/internal/faultnet"
 	"paw/internal/geom"
@@ -161,7 +160,7 @@ func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script
 	}
 	for _, id := range diff.Added {
 		var buf bytes.Buffer
-		if err := colstore.FromDataset(data, rowsFor[id], 256).Encode(&buf); err != nil {
+		if err := blockstore.PartitionTable(data, rowsFor[id], blockstore.Config{GroupRows: 256}).Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		ws := []int{int(id) % nWorkers}

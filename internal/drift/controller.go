@@ -8,7 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paw/internal/colstore"
+	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/dist"
@@ -326,14 +326,12 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	// the rebuild in exactly one new partition — the migration's row
 	// population is defined by old-layout routing, not by geometry, so
 	// irregular siblings keep their rows.
-	all := make([]int, c.data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	byPart := cur.RouteIndices(c.data, all)
+	rt := cur.Assign(c.data, c.cfg.Parallelism)
+	rows, bounds := rt.Buckets()
 	var regionRows []int
 	for _, leaf := range target.Leaves() {
-		regionRows = append(regionRows, byPart[leaf.Part.ID]...)
+		id := leaf.Part.ID
+		regionRows = append(regionRows, rows[bounds[id]:bounds[id+1]]...)
 	}
 	if len(regionRows) == 0 {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: rebuild region holds no rows")
@@ -404,7 +402,8 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 // buildMigration turns a patched layout + diff into the master's migration
 // plan: surviving partitions keep their current replica sets and move zero
 // bytes; added partitions are placed round-robin from their ID and ship
-// colstore payloads.
+// their blockstore.PartitionTable encodings, the same tables Materialize
+// stores.
 func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, payloadRows map[layout.ID][]int) (*dist.Migration, int64, error) {
 	rm, err := router.NewMaster(newL, c.data.Names())
 	if err != nil {
@@ -436,7 +435,7 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		}
 		place[id] = ws
 		var buf bytes.Buffer
-		tab := colstore.FromDataset(c.data, payloadRows[id], c.cfg.GroupRows)
+		tab := blockstore.PartitionTable(c.data, payloadRows[id], blockstore.Config{GroupRows: c.cfg.GroupRows})
 		if err := tab.Encode(&buf); err != nil {
 			return nil, 0, fmt.Errorf("drift: encoding partition %d payload: %w", id, err)
 		}

@@ -2,10 +2,10 @@ package layout
 
 import (
 	"fmt"
-	"sync"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
+	"paw/internal/parbuild"
 	"paw/internal/rtree"
 )
 
@@ -182,25 +182,7 @@ func Seal(method string, root *Node, rowBytes int64) *Layout {
 // and TotalBytes. It reproduces the paper's construction protocol: the
 // logical layout is computed on a sample, then the full dataset is routed
 // through it (§VI-A). Route may be called repeatedly; counts are reset.
-func (l *Layout) Route(data *dataset.Dataset) {
-	for _, p := range l.Parts {
-		p.FullRows = 0
-	}
-	l.Unrouted = 0
-	cols := hoistColumns(data)
-	pt := make(geom.Point, len(cols))
-	for i := 0; i < data.NumRows(); i++ {
-		for d, col := range cols {
-			pt[d] = col[i]
-		}
-		if part := l.Root.routeDown(pt); part != nil {
-			part.FullRows++
-		} else {
-			l.Unrouted++
-		}
-	}
-	l.TotalBytes = int64(data.NumRows()) * l.RowBytes
-}
+func (l *Layout) Route(data *dataset.Dataset) { l.RouteParallel(data, 1) }
 
 // hoistColumns caches the dataset's contiguous column slices so routing hot
 // loops probe cols[d][r] directly instead of calling data.At per (row, dim).
@@ -212,66 +194,94 @@ func hoistColumns(data *dataset.Dataset) [][]float64 {
 	return cols
 }
 
+// Routing is one pass of a whole dataset through a layout: the partition of
+// every row plus the per-partition row counts.
+type Routing struct {
+	// Part[r] is the ID of the partition row r routes to, or -1 when no
+	// leaf accepted it.
+	Part []int32
+	// Counts[id] is the number of rows routed to partition id.
+	Counts []int64
+	// Unrouted is the number of rows no leaf accepted.
+	Unrouted int64
+}
+
+// Buckets groups the routed rows by partition with a counting sort:
+// partition id holds rows[start[id]:start[id+1]], in ascending row order.
+// Unrouted rows are left out.
+func (r *Routing) Buckets() (rows, start []int) {
+	start = make([]int, len(r.Counts)+1)
+	for id, c := range r.Counts {
+		start[id+1] = start[id] + int(c)
+	}
+	rows = make([]int, start[len(r.Counts)])
+	next := append([]int(nil), start[:len(r.Counts)]...)
+	for i, id := range r.Part {
+		if id >= 0 {
+			rows[next[id]] = i
+			next[id]++
+		}
+	}
+	return rows, start
+}
+
+// routeChunk is the row count below which routing stays on one goroutine.
+const routeChunk = 4096
+
+// Assign routes every row of data through the layout in one pass fanned out
+// over a pool of up to workers goroutines (workers <= 0 selects
+// GOMAXPROCS), without touching the layout. The result is identical at any
+// worker count. It is the pass behind RouteParallel, for callers that must
+// not write to a layout other goroutines are serving.
+func (l *Layout) Assign(data *dataset.Dataset, workers int) Routing {
+	n := data.NumRows()
+	nParts := len(l.Parts)
+	r := Routing{Part: make([]int32, n), Counts: make([]int64, nParts)}
+	cols := hoistColumns(data)
+	pool := parbuild.New(workers)
+	chunkCounts := make([][]int64, pool.Workers())
+	chunkUnrouted := make([]int64, pool.Workers())
+	chunks := pool.FanChunks(pool.RootSlot(), n, routeChunk, func(c, lo, hi, _ int) {
+		counts := make([]int64, nParts)
+		var unrouted int64
+		pt := make(geom.Point, len(cols))
+		for i := lo; i < hi; i++ {
+			for d, col := range cols {
+				pt[d] = col[i]
+			}
+			if part := l.Root.routeDown(pt); part != nil {
+				r.Part[i] = int32(part.ID)
+				counts[part.ID]++
+			} else {
+				r.Part[i] = -1
+				unrouted++
+			}
+		}
+		chunkCounts[c], chunkUnrouted[c] = counts, unrouted
+	})
+	for c := 0; c < chunks; c++ {
+		for id, k := range chunkCounts[c] {
+			r.Counts[id] += k
+		}
+		r.Unrouted += chunkUnrouted[c]
+	}
+	return r
+}
+
 // RouteParallel is Route with the row scan fanned out over up to workers
-// goroutines; results are identical to Route. Routing dominates layout
+// goroutines (see Assign); it sets FullRows, Unrouted and TotalBytes exactly
+// as the serial scan would, and returns the routing so callers can bucket
+// rows by partition without routing them again. Routing dominates layout
 // materialisation time (Table II), so the block store uses this on
 // multi-core hosts.
-func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) {
-	n := data.NumRows()
-	if workers < 2 || n < 4096 {
-		l.Route(data)
-		return
+func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) Routing {
+	r := l.Assign(data, workers)
+	for id, p := range l.Parts {
+		p.FullRows = r.Counts[id]
 	}
-	if workers > n {
-		workers = n
-	}
-	cols := hoistColumns(data)
-	nParts := len(l.Parts)
-	counts := make([][]int64, workers)
-	unrouted := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		counts[w] = make([]int64, nParts)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pt := make(geom.Point, len(cols))
-			for i := lo; i < hi; i++ {
-				for d, col := range cols {
-					pt[d] = col[i]
-				}
-				if part := l.Root.routeDown(pt); part != nil {
-					counts[w][part.ID]++
-				} else {
-					unrouted[w]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, p := range l.Parts {
-		p.FullRows = 0
-	}
-	l.Unrouted = 0
-	for w := range counts {
-		if counts[w] == nil {
-			continue
-		}
-		for id, c := range counts[w] {
-			l.Parts[id].FullRows += c
-		}
-		l.Unrouted += unrouted[w]
-	}
-	l.TotalBytes = int64(n) * l.RowBytes
+	l.Unrouted = r.Unrouted
+	l.TotalBytes = int64(data.NumRows()) * l.RowBytes
+	return r
 }
 
 // RouteIndices routes only the given rows; used to route record subsets to

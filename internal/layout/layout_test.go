@@ -259,13 +259,17 @@ func TestUnroutedDetection(t *testing.T) {
 }
 
 func TestRouteParallelMatchesSerial(t *testing.T) {
-	// Large enough to take the parallel path.
+	// Large enough to take the parallel path; the last rows fall outside
+	// the root and stay unrouted.
 	n := 10000
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i%100) / 10
 		ys[i] = float64(i%97) / 9.7
+	}
+	for i := n - 5; i < n; i++ {
+		xs[i] = 20
 	}
 	data := dataset.MustNew([]string{"x", "y"}, [][]float64{xs, ys})
 	mk := func(b geom.Box) *Node {
@@ -276,28 +280,41 @@ func TestRouteParallelMatchesSerial(t *testing.T) {
 		mk(box2(5, 0, 10, 5)), mk(box2(5, 5, 10, 10)),
 	}}
 	l := Seal("test", root, data.RowBytes())
-	l.Route(data)
-	serial := make([]int64, len(l.Parts))
-	for i, p := range l.Parts {
-		serial[i] = p.FullRows
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	serialUnrouted := l.Unrouted
+	// The subset router is the per-row oracle.
+	want := l.RouteIndices(data, all)
 
-	for _, workers := range []int{2, 4, 7} {
-		l.RouteParallel(data, workers)
-		if l.Unrouted != serialUnrouted {
-			t.Fatalf("workers=%d: unrouted %d vs %d", workers, l.Unrouted, serialUnrouted)
+	for _, workers := range []int{1, 2, 4, 7} {
+		rt := l.RouteParallel(data, workers)
+		if l.Unrouted != 5 || rt.Unrouted != 5 {
+			t.Fatalf("workers=%d: unrouted %d/%d, want 5", workers, l.Unrouted, rt.Unrouted)
 		}
+		for i := n - 5; i < n; i++ {
+			if rt.Part[i] != -1 {
+				t.Fatalf("workers=%d: row %d outside the root routed to %d", workers, i, rt.Part[i])
+			}
+		}
+		rows, start := rt.Buckets()
 		for i, p := range l.Parts {
-			if p.FullRows != serial[i] {
-				t.Fatalf("workers=%d partition %d: %d vs %d", workers, i, p.FullRows, serial[i])
+			got := rows[start[i]:start[i+1]]
+			if p.FullRows != int64(len(want[p.ID])) || rt.Counts[i] != p.FullRows || len(got) != len(want[p.ID]) {
+				t.Fatalf("workers=%d partition %d: FullRows %d, counts %d, bucket %d, want %d",
+					workers, i, p.FullRows, rt.Counts[i], len(got), len(want[p.ID]))
+			}
+			for k, r := range got {
+				if r != want[p.ID][k] || rt.Part[r] != int32(p.ID) {
+					t.Fatalf("workers=%d partition %d: bucket row %d is %d, want %d", workers, i, k, r, want[p.ID][k])
+				}
 			}
 		}
 		if l.TotalBytes != data.TotalBytes() {
 			t.Fatalf("TotalBytes = %d", l.TotalBytes)
 		}
 	}
-	// Small inputs fall back to the serial path.
+	// Small inputs run on one goroutine.
 	small := dataset.MustNew([]string{"x", "y"}, [][]float64{{1}, {1}})
 	l.RouteParallel(small, 8)
 	var sum int64
@@ -305,7 +322,7 @@ func TestRouteParallelMatchesSerial(t *testing.T) {
 		sum += p.FullRows
 	}
 	if sum != 1 {
-		t.Errorf("fallback routed %d rows", sum)
+		t.Errorf("small input routed %d rows", sum)
 	}
 }
 
